@@ -93,8 +93,13 @@ def main(argv=None) -> int:
                 raise ConfigError("eval requires --init CHECKPOINT")
             vqa, _, vocab, _ = load_dataset(config.data_dir)
             model = VqaModel(config, vocab.size)
-            arrays, step, _ = load_checkpoint(args.init)
-            apply_checkpoint(model.params(), arrays)
+            params = model.params()
+            arrays, _, _ = load_checkpoint(args.init)
+            missing = sorted({name.rsplit("/", 1)[0] for name in params if name not in arrays})
+            if missing:
+                raise ConfigError(f"checkpoint {args.init} lacks parameter groups: "
+                                  + ", ".join(missing))
+            apply_checkpoint(params, arrays)
             metrics = run_eval(model, vqa[config.eval_split])
             for key in ("open_acc", "closed_acc", "all_acc", "type_acc"):
                 print(f"{key}={metrics[key]:.6f}")

@@ -23,21 +23,16 @@ class RunConfig:
 
     # model dimensions
     image_size: int = 32
-    c_in: int = 1
     grid: int = 4
     c_v: int = 32
     d_q: int = 32
     d_emb: int = 16
     l_w: int = 6
-    qkv_channels: int = 0          # 0 selects the D_f // 2 default
     glimpses: int = 2
     scaled_attention: bool = False
 
     # optimizer
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     # schedules
     steps: int = 500
@@ -47,11 +42,6 @@ class RunConfig:
     pretrain_batch: int = 8
     pretrain_mode: str = "multi"   # multi | single (drops the compatibility task)
     log_every: int = 10
-
-    # per-encoder image-understanding task kinds
-    task_abdomen: str = "segmentation"
-    task_head: str = "classification"
-    task_chest: str = "classification"
 
     # data
     n_vqa: int = 300
@@ -83,13 +73,9 @@ class RunConfig:
             g=self.grid,
             c_v=self.c_v,
             d_q=self.d_q,
-            qkv_channels=self.qkv_channels,
             glimpses=self.glimpses if glimpses is None else glimpses,
             scaled_attention=self.scaled_attention,
         )
-
-    def task_kind(self, type_id: int) -> str:
-        return (self.task_abdomen, self.task_head, self.task_chest)[type_id]
 
     def validate(self) -> None:
         if self.steps < 1 or self.pretrain_steps < 1:
@@ -104,9 +90,6 @@ class RunConfig:
             raise ConfigError("train_frac + val_frac must leave room for a test split")
         if self.pretrain_mode not in ("multi", "single"):
             raise ConfigError(f"pretrain_mode must be multi or single, got {self.pretrain_mode!r}")
-        for t in range(3):
-            if self.task_kind(t) not in ("segmentation", "classification"):
-                raise ConfigError(f"unknown task kind {self.task_kind(t)!r}")
         if self.eval_split not in ("train", "val", "test"):
             raise ConfigError(f"eval_split must be train/val/test, got {self.eval_split!r}")
 

@@ -25,6 +25,13 @@ TYPE_NAMES = ("abdomen", "head", "chest")
 SHAPE_NAMES = ("square", "circle", "cross")
 ANSWERS = ("yes", "no", "square", "circle", "cross")
 K_ANSWERS = len(ANSWERS)
+IMAGE_CHANNELS = 1            # draw_image renders (H, W, 1) images
+
+# The pre-training task generate_pretrain draws for each type, with the number
+# of target classes: a shape-vs-background pixel mask (abdomen), which shape
+# (head), and whether the shape is a cross (chest).  Task heads are sized here.
+_PRETRAIN_TASKS = (("segmentation", 2), ("classification", len(SHAPE_NAMES)),
+                   ("classification", 2))
 
 
 @dataclass
@@ -224,7 +231,12 @@ def pair_for_compatibility(type_id: int, pool, gen) -> Tuple[List[int], int, int
 
 def pretrain_task_kind(type_id: int) -> str:
     """Abdomen images carry masks; head and chest carry class labels."""
-    return "segmentation" if type_id == 0 else "classification"
+    return _PRETRAIN_TASKS[type_id][0]
+
+
+def pretrain_task_classes(type_id: int) -> int:
+    """Number of classes the type's pre-training targets take."""
+    return _PRETRAIN_TASKS[type_id][1]
 
 
 def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,

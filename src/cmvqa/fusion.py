@@ -41,7 +41,6 @@ class CmsaConfig:
     g: int
     c_v: int
     d_q: int
-    qkv_channels: int = 0   # 0 -> default D_f // 2
     glimpses: int = 2
     scaled_attention: bool = False
 
@@ -50,16 +49,16 @@ class CmsaConfig:
         return self.c_v + 8 + self.d_q
 
     @property
+    def qkv_channels(self) -> int:
+        return self.d_f // 2
+
+    @property
     def n_positions(self) -> int:
         return self.l_w * self.g * self.g
 
     def __post_init__(self):
         if self.glimpses < 1:
             raise ValueError(f"glimpses must be >= 1, got {self.glimpses}")
-        if self.qkv_channels == 0:
-            self.qkv_channels = self.d_f // 2
-        if self.qkv_channels < 1:
-            raise ValueError(f"qkv_channels must be >= 1, got {self.qkv_channels}")
 
 
 @dataclass

@@ -40,17 +40,6 @@ class LossReport:
     l_type: Optional[float] = None
     l_spe: Optional[float] = None
     l_com: Optional[float] = None
-    alpha: float = 0.5
-
-    def recomputed_total(self) -> float:
-        if self.l_vqa is not None:
-            return self.l_vqa + self.alpha * self.l_type
-        return self.l_spe + self.l_com
-
-
-@dataclass
-class AnswerScores:
-    logits: Tensor  # (K_answers,)
 
 
 @dataclass
@@ -85,9 +74,9 @@ def _aggregate_words(f_hat: Tensor, q: Tensor) -> Tensor:
     return sum_over_axes(add(f_hat, q), (0,))
 
 
-def predict_answer(f_hat: Tensor, q: Tensor, head: MlpParams) -> AnswerScores:
-    """2-layer MLP over the word-summed fused representation."""
-    return AnswerScores(logits=mlp_forward(_aggregate_words(f_hat, q), head))
+def predict_answer(f_hat: Tensor, q: Tensor, head: MlpParams) -> Tensor:
+    """2-layer MLP over the word-summed fused representation -> answer logits."""
+    return mlp_forward(_aggregate_words(f_hat, q), head)
 
 
 def compatibility_head(f_hat: Tensor, q: Tensor, head: MlpParams) -> Tensor:
@@ -152,6 +141,14 @@ def segmentation_loss(pixel_logits: Tensor, mask: np.ndarray) -> Tensor:
     return cross_entropy(flat, mask.reshape(-1).astype(int))
 
 
+def image_task_loss(logits: Tensor, target) -> Tensor:
+    """Loss of an image-understanding head: class logits (K,) with an integer
+    target, or per-pixel logits (H, W, K) with an (H, W) mask of class ids."""
+    if len(logits.shape) == 3:
+        return segmentation_loss(logits, np.asarray(target))
+    return cross_entropy(logits, target)
+
+
 def vqa_loss(answer_logits: Tensor, answer_target: int, type_logits: Tensor,
              type_target: int, alpha: float = 0.5) -> Tuple[Tensor, LossReport]:
     """total = l_vqa + alpha * l_type."""
@@ -162,24 +159,17 @@ def vqa_loss(answer_logits: Tensor, answer_target: int, type_logits: Tensor,
         total=l_vqa.item() + alpha * l_type.item(),
         l_vqa=l_vqa.item(),
         l_type=l_type.item(),
-        alpha=alpha,
     )
     return total, report
 
 
 def pretrain_loss(spe_logits: Tensor, spe_target, com_logits: Tensor,
                   com_target: int) -> Tuple[Tensor, LossReport]:
-    """total = l_spe + l_com; l_com is cross-entropy over the 2-way logits.
-
-    spe_logits may be class logits (K,) with an integer target, or per-pixel
-    logits (H, W, K) with an (H, W) mask of class ids.
-    """
+    """total = l_spe + l_com; l_spe is image_task_loss, l_com is cross-entropy
+    over the 2-way compatibility logits."""
     if com_target not in (0, 1):
         raise ValueError(f"compatibility target must be 0 or 1, got {com_target}")
-    if len(spe_logits.shape) == 3:
-        l_spe = segmentation_loss(spe_logits, np.asarray(spe_target))
-    else:
-        l_spe = cross_entropy(spe_logits, spe_target)
+    l_spe = image_task_loss(spe_logits, spe_target)
     l_com = cross_entropy(com_logits, com_target)
     total = add(l_spe, l_com)
     report = LossReport(

@@ -7,13 +7,21 @@ encoder weight transfer all key on.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .bundle import read_bundle, write_bundle
 from .config import RunConfig
-from .data import K_ANSWERS, PretrainSample, TYPE_NAMES, VqaSample, pretrain_task_kind
+from .data import (
+    IMAGE_CHANNELS,
+    K_ANSWERS,
+    TYPE_NAMES,
+    PretrainSample,
+    VqaSample,
+    pretrain_task_classes,
+    pretrain_task_kind,
+)
 from .fusion import CmsaParams, CmsaState, cmsa_fuse, init_cmsa
 from .heads import (
     MlpParams,
@@ -28,7 +36,6 @@ from .heads import (
 )
 from .numerics import Rng, ShapeError, Tensor
 from .question import (
-    EmbeddingParams,
     QuestionEmbedding,
     embed,
     encode_question,
@@ -37,9 +44,7 @@ from .question import (
 )
 from .vision import (
     BackboneParams,
-    TypeClassifierParams,
     TypeGate,
-    VisualFeatures,
     backbone_forward,
     blend,
     classify_type,
@@ -108,10 +113,10 @@ class VqaModel:
         self.question = _QuestionSide(config, rng.child("question"), vocab_size)
         self.backbones = {
             name: init_backbone(rng.child(f"backbone-{name}").gen, config.image_size,
-                                config.c_in, config.grid, config.c_v)
+                                IMAGE_CHANNELS, config.grid, config.c_v)
             for name in TYPE_NAMES
         }
-        self.gate = init_type_classifier(rng.child("gate").gen, config.c_in)
+        self.gate = init_type_classifier(rng.child("gate").gen, IMAGE_CHANNELS)
         self.cmsa = init_cmsa(rng.child("cmsa").gen, self.cmsa_config)
         self.answer = init_answer_head(rng.child("answer").gen, config.d_q, K_ANSWERS)
         self.s = spatial_map(config.grid)
@@ -133,17 +138,12 @@ class VqaModel:
         """Returns (answer logits, type gate, fusion state)."""
         image = Tensor(sample.image)
         gate = classify_type(image, self.gate)
-        feats = VisualFeatures(
-            v_a=backbone_forward(image, self.backbones["abdomen"]),
-            v_h=backbone_forward(image, self.backbones["head"]),
-            v_c=backbone_forward(image, self.backbones["chest"]),
-            v=None,
-        )
-        feats.v = blend(feats.v_a, feats.v_h, feats.v_c, gate)
+        v = blend(backbone_forward(image, self.backbones["abdomen"]),
+                  backbone_forward(image, self.backbones["head"]),
+                  backbone_forward(image, self.backbones["chest"]), gate)
         q = self.question.encode(sample.token_ids, sample.true_length)
-        f_hat, state = cmsa_fuse(feats.v, self.s, q, self.cmsa, self.cmsa_config)
-        scores = predict_answer(f_hat, q.q, self.answer)
-        return scores.logits, gate, state
+        f_hat, state = cmsa_fuse(v, self.s, q, self.cmsa, self.cmsa_config)
+        return predict_answer(f_hat, q.q, self.answer), gate, state
 
 
 class PretrainModel:
@@ -153,20 +153,21 @@ class PretrainModel:
         rng = Rng(config.seed).child(f"pretrain-{TYPE_NAMES[type_id]}")
         self.config = config
         self.type_id = type_id
-        self.task = config.task_kind(type_id)
+        self.task = pretrain_task_kind(type_id)
         self.cmsa_config = config.cmsa_config(glimpses=1)
         self.question = _QuestionSide(config, rng.child("question"), vocab_size)
         self.backbone = init_backbone(rng.child("backbone").gen, config.image_size,
-                                      config.c_in, config.grid, config.c_v)
+                                      IMAGE_CHANNELS, config.grid, config.c_v)
         self.cmsa = init_cmsa(rng.child("cmsa").gen, self.cmsa_config)
         self.compat = init_compatibility_head(rng.child("compat").gen, config.d_q)
+        n_classes = pretrain_task_classes(type_id)
         if self.task == "segmentation":
             self.task_head = init_segmentation_head(
-                rng.child("task").gen, config.c_v, config.image_size, config.grid
+                rng.child("task").gen, config.c_v, config.image_size, config.grid, n_classes
             )
         else:
-            k_cls = 3 if type_id == 1 else 2
-            self.task_head = init_classification_head(rng.child("task").gen, config.c_v, k_cls)
+            self.task_head = init_classification_head(rng.child("task").gen, config.c_v,
+                                                      n_classes)
         self.s = spatial_map(config.grid)
 
     def params(self) -> Dict[str, Tensor]:

@@ -81,10 +81,6 @@ class EmbeddingParams:
     first: Tensor   # (V, D_emb/2)
     second: Tensor  # (V, D_emb - D_emb/2)
 
-    @property
-    def width(self) -> int:
-        return self.first.shape[1] + self.second.shape[1]
-
 
 def init_embedding(gen, vocab_size: int, d_emb: int,
                    frozen_first: np.ndarray = None) -> EmbeddingParams:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import TYPE_NAMES, load_dataset
-from .heads import LossReport, pretrain_loss, segmentation_loss, vqa_loss
+from .heads import LossReport, image_task_loss, pretrain_loss, vqa_loss
 from .model import (
     PretrainModel,
     VqaModel,
@@ -29,7 +29,6 @@ from .numerics import (
     Tensor,
     adam_step,
     add,
-    cross_entropy,
     grad_check,
     scale,
 )
@@ -149,7 +148,7 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
     monitor_idx = [int(i) for i in
                    rng.child("monitor").gen.permutation(len(train))[: config.batch_size]]
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
-    state = OptimState(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    state = OptimState(lr=config.lr)
 
     def monitor_losses():
         vqa_vals, type_vals = [], []
@@ -246,19 +245,14 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
                                  config.pretrain_steps, config.pretrain_batch)
         monitor_idx = [int(i) for i in
                        rng.child("monitor").gen.permutation(len(train))[: config.pretrain_batch]]
-        state = OptimState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                           eps=config.eps)
+        state = OptimState(lr=config.lr)
 
         def sample_loss(s):
             if multi:
                 task_logits, com_logits = model.forward(s)
                 return pretrain_loss(task_logits, s.task_target, com_logits, s.compat_label)
             # single-task arm: the compatibility term is dropped entirely
-            task_logits = model.forward_task_only(s)
-            if model.task == "segmentation":
-                l_spe = segmentation_loss(task_logits, np.asarray(s.task_target))
-            else:
-                l_spe = cross_entropy(task_logits, s.task_target)
+            l_spe = image_task_loss(model.forward_task_only(s), s.task_target)
             return l_spe, LossReport(total=l_spe.item(), l_spe=l_spe.item(), l_com=None)
 
         def monitor_losses():

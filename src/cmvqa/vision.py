@@ -30,9 +30,6 @@ from .numerics import (
     zeros_param,
 )
 
-ENCODER_IDS = ("abdomen", "head", "chest")
-
-
 @dataclass
 class ConvLayer:
     weight: Tensor  # (kh, kw, c_in, c_out)
@@ -55,14 +52,6 @@ class TypeClassifierParams:
     stem: ConvLayer
     proj_w: Tensor  # (stem channels, 3)
     proj_b: Tensor  # (3,)
-
-
-@dataclass
-class VisualFeatures:
-    v_a: Tensor
-    v_h: Tensor
-    v_c: Tensor
-    v: Tensor
 
 
 def _n_stride2_layers(h: int, w: int, g: int) -> int:
@@ -135,16 +124,6 @@ def blend(v_a: Tensor, v_h: Tensor, v_c: Tensor, gate: TypeGate) -> Tensor:
         w_i = broadcast_to(slice_last(gate.w, i, i + 1), shape)
         parts.append(mul(w_i, v_i))
     return add(add(parts[0], parts[1]), parts[2])
-
-
-def encode_image(image: Tensor, backbones: dict, gate_params: TypeClassifierParams):
-    """Run all three backbones and the gate; return features plus the gate."""
-    gate = classify_type(image, gate_params)
-    v_a = backbone_forward(image, backbones["abdomen"])
-    v_h = backbone_forward(image, backbones["head"])
-    v_c = backbone_forward(image, backbones["chest"])
-    v = blend(v_a, v_h, v_c, gate)
-    return VisualFeatures(v_a=v_a, v_h=v_h, v_c=v_c, v=v), gate
 
 
 def spatial_map(g: int) -> Tensor:

@@ -91,6 +91,26 @@ class TestErrors:
         assert main(["eval", "--config", str(cfg)]) == 2
         assert "--init" in capsys.readouterr().err
 
+    def test_eval_rejects_encoder_only_checkpoint(self, workspace, capsys):
+        root, cfg = workspace
+        assert main(["pretrain", "--config", str(cfg), "--out", str(root / "pre-eval")]) == 0
+        capsys.readouterr()
+        ckpt = root / "pre-eval" / "pretrain_all.cmtb"
+        assert main(["eval", "--config", str(cfg), "--init", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for group in ("lstm", "answer", "cmsa/glimpse0", "gate"):
+            assert group in captured.err
+
+    def test_removed_task_key_rejected_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "data")
+                       + "task_abdomen = classification\n")
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key 'task_abdomen'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_without_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "missing"))

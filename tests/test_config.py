@@ -83,7 +83,7 @@ class TestRoundTrip:
     def test_dump_then_parse_is_identity(self):
         config = parse_config(
             "seed = 7\nlr = 0.0005\nscaled_attention = true\nglimpses = 3\n"
-            "task_chest = segmentation\nnoise = 0.25\ntrain_frac = 0.5"
+            "pretrain_mode = single\nnoise = 0.25\ntrain_frac = 0.5"
         )
         assert parse_config(dump_config(config)) == config
 
@@ -119,9 +119,3 @@ class TestDerivedConfigs:
         config = parse_config("glimpses = 2")
         assert config.cmsa_config().glimpses == 2
         assert config.cmsa_config(glimpses=1).glimpses == 1
-
-    def test_task_kind_lookup(self):
-        config = parse_config("task_abdomen = segmentation\ntask_head = classification")
-        assert config.task_kind(0) == "segmentation"
-        assert config.task_kind(1) == "classification"
-        assert config.task_kind(2) == "classification"

@@ -104,6 +104,20 @@ class TestForward:
         pixel_logits = seg.forward(seg_sample)[0]
         assert pixel_logits.shape == (config.image_size, config.image_size, 2)
 
+    @pytest.mark.parametrize("type_id", [0, 1, 2])
+    def test_task_head_width_matches_drawn_classes(self, corpus, type_id):
+        """The task head scores exactly the classes the generator draws."""
+        config, vocab, _, _ = corpus
+        samples = generate_pretrain(1, 40, config.data_config(), vocab)[type_id]["train"]
+        drawn = set()
+        for s in samples:
+            drawn |= {int(t) for t in np.unique(s.task_target)}
+        assert drawn == set(range(len(drawn)))
+        model = PretrainModel(config, vocab.size, type_id)
+        task_logits, _ = model.forward(samples[0])
+        assert task_logits.shape[-1] == len(drawn)
+        assert model.forward_task_only(samples[0]).shape[-1] == len(drawn)
+
 
 class TestCheckpoints:
     def test_roundtrip_is_bit_exact(self, corpus, tmp_path):

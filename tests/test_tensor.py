@@ -27,7 +27,6 @@ from cmvqa.numerics import (
     slice_last,
     softmax_rows,
     stack_rows,
-    sub,
     sum_over_axes,
     tanh,
     transpose2d,
@@ -335,7 +334,6 @@ def _scalarize(t):
 
 OP_CASES = {
     "add": lambda p, g: add(p["a"], p["b"]),
-    "sub": lambda p, g: sub(p["a"], p["b"]),
     "mul": lambda p, g: mul(p["a"], p["b"]),
     "scale": lambda p, g: scale(p["a"], -1.7),
     "matmul": lambda p, g: matmul(p["m1"], p["m2"]),
@@ -389,7 +387,6 @@ def test_every_op_passes_grad_check_at_5_random_points(op_name):
 def _touches(op_name: str, key: str) -> bool:
     needed = {
         "add": {"a", "b"},
-        "sub": {"a", "b"},
         "mul": {"a", "b"},
         "scale": {"a"},
         "matmul": {"m1", "m2"},

@@ -9,7 +9,6 @@ from cmvqa.vision import (
     backbone_forward,
     blend,
     classify_type,
-    encode_image,
     init_backbone,
     init_type_classifier,
     spatial_map,
@@ -144,6 +143,8 @@ class TestSpatialMap:
 
 
 class TestEncodeImage:
+    """The image half of VqaModel.forward: type gate, three backbones, blend."""
+
     def test_gradient_flows_through_gate_into_classifier(self, gen):
         """A loss on v alone must reach the type-classifier parameters."""
         rng = Rng(4)
@@ -156,8 +157,10 @@ class TestEncodeImage:
         coeffs = Tensor(np.arange(1.0, 17.0).reshape(2, 2, 4))
 
         def objective():
-            feats, _ = encode_image(image, backbones, gate_params)
-            return sum_over_axes(mul(feats.v, coeffs), (0, 1, 2))
+            gate = classify_type(image, gate_params)
+            v = blend(*(backbone_forward(image, backbones[name])
+                        for name in ("abdomen", "head", "chest")), gate)
+            return sum_over_axes(mul(v, coeffs), (0, 1, 2))
 
         report = grad_check(
             objective,
@@ -179,6 +182,10 @@ class TestEncodeImage:
             for name in ("abdomen", "head", "chest")
         }
         gate_params = init_type_classifier(rng.child("gate").gen, 1)
-        feats, gate = encode_image(Tensor(gen.standard_normal((16, 16, 1))), backbones, gate_params)
-        assert feats.v_a.shape == feats.v_h.shape == feats.v_c.shape == feats.v.shape
+        image = Tensor(gen.standard_normal((16, 16, 1)))
+        gate = classify_type(image, gate_params)
+        v_a, v_h, v_c = (backbone_forward(image, backbones[name])
+                         for name in ("abdomen", "head", "chest"))
+        v = blend(v_a, v_h, v_c, gate)
+        assert v_a.shape == v_h.shape == v_c.shape == v.shape
         assert gate.w.shape == (3,)
