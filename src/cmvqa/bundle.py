@@ -11,6 +11,7 @@ Offsets index into the payload in bytes.  Round trips are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Dict
 
@@ -25,7 +26,11 @@ class BundleError(Exception):
 
 
 def write_bundle(tensors: Dict[str, np.ndarray], path) -> None:
-    """Write named arrays to `path`. Names must be unique; values finite float64."""
+    """Write named arrays to `path`. Names must be unique; values finite float64.
+
+    The bytes go to a temporary file beside `path`, which then replaces it, so
+    a write that fails or is interrupted leaves any earlier bundle intact.
+    """
     names = list(tensors)
     if len(set(names)) != len(names):
         raise BundleError("duplicate tensor names")
@@ -42,11 +47,20 @@ def write_bundle(tensors: Dict[str, np.ndarray], path) -> None:
         header.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         header.append(struct.pack("<Q", offset))
         payload += arr.astype("<f8").tobytes()
+    if not np.isfinite(np.frombuffer(payload, "<f8")).all():
+        bad = next(n for n in names if not np.isfinite(np.asarray(tensors[n], np.float64)).all())
+        raise BundleError(f"tensor {bad!r} holds non-finite values")
 
-    with open(path, "wb") as fh:
-        fh.write(b"".join(header))
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(bytes(payload))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(header))
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(bytes(payload))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_bundle(path) -> Dict[str, np.ndarray]:

@@ -91,7 +91,8 @@ def main(argv=None) -> int:
 
             if not args.init:
                 raise ConfigError("eval requires --init CHECKPOINT")
-            vqa, _, vocab, _ = load_dataset(config.data_dir)
+            vqa, _, vocab, data_config = load_dataset(config.data_dir)
+            config.check_dataset(data_config)
             model = VqaModel(config, vocab.size)
             params = model.params()
             arrays, _, _ = load_checkpoint(args.init)

@@ -67,6 +67,16 @@ class RunConfig:
             val_frac=self.val_frac,
         )
 
+    def check_dataset(self, found: DataConfig) -> None:
+        """Reject a dataset generated under other data settings than this config."""
+        want = vars(self.data_config())
+        have = vars(found)
+        diffs = [f"{'grid' if k == 'cell_grid' else k} = {have[k]} in the dataset, "
+                 f"{want[k]} in the config" for k in want if have[k] != want[k]]
+        if diffs:
+            raise ConfigError(f"dataset in {self.data_dir} was generated under other "
+                              "settings: " + "; ".join(diffs))
+
     def cmsa_config(self, glimpses: int = None) -> CmsaConfig:
         return CmsaConfig(
             l_w=self.l_w,

@@ -166,10 +166,7 @@ def self_attention_pass(f_in: Tensor, params: GlimpseParams, config: CmsaConfig,
         ) from err
 
     f_mid = matmul(a, v)
-    f_out = reshape(
-        pointwise_channel_map(reshape(f_mid, (n, qkv)), params.out_w, params.out_b),
-        (l_w, g, g, d_f),
-    )
+    f_out = reshape(pointwise_channel_map(f_mid, params.out_w, params.out_b), (l_w, g, g, d_f))
     if collect is not None:
         collect.q.append(q)
         collect.k.append(k)

@@ -8,11 +8,18 @@ model needs; there is no broadcasting magic beyond what each op documents.
 All forward outputs are checked for NaN/Inf and a ``NonFiniteError`` naming the
 producing operation is raised on violation, so numerical blow-ups surface at
 their source instead of three modules later.
+
+No op writes into the ``data`` of its inputs, in forward or in backward, and
+no caller may write into the ``data`` of a node while its graph is alive: an
+output may share memory with an input (``reshape`` returns a view), and
+backward closures read the forward arrays as they were.  Parameters are
+updated in place only between graphs (Adam, the grad check's nudges).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,26 +121,33 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+# Bound once: ``_node`` runs for every op, and ``ndarray.all`` adds a Python
+# frame around the same logical-and reduction.
+_isfinite = np.isfinite
+_all_true = np.logical_and.reduce
+
+
 def _node(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
     back: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     op: str,
 ) -> Tensor:
-    if not np.isfinite(data).all():
+    if not _all_true(_isfinite(data), None):
         raise NonFiniteError(op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = back
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = back
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -177,12 +191,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each element
+    # gets the same exp and the same division as the two-branch formula.
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    z = np.exp(-np.abs(x))
+    d = 1.0 + z
+    out = np.where(x >= 0, 1.0 / d, z / d)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -240,12 +254,15 @@ def pointwise_channel_map(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape)
-    return _node(data.copy(), (a,), lambda g: (g.reshape(a.shape),), "reshape")
+    """A view of a's data in the new shape (see the no-write contract above)."""
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), "reshape")
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = np.broadcast_to(a.data, shape).copy()
+    if a.data.ndim > len(shape):
+        raise ShapeError(f"cannot broadcast {a.shape} to fewer axes {tuple(shape)}")
+    data = np.empty(shape)
+    data[...] = a.data
     return _node(data, (a,), lambda g: (_unbroadcast(g, a.shape),), "broadcast_to")
 
 
@@ -253,11 +270,10 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
     parts = tuple(parts)
     data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    edges = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
 
     def back(g: np.ndarray):
-        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., edges[i] : edges[i + 1]] for i in range(len(parts)))
 
     return _node(data, parts, back, "concat_last")
 
@@ -344,7 +360,9 @@ def sum_over_axes(a: Tensor, axes) -> Tensor:
     kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
 
     def back(g: np.ndarray):
-        return (np.broadcast_to(g.reshape(kept), a.shape).copy(),)
+        ga = np.empty(a.shape)
+        ga[...] = g.reshape(kept)
+        return (ga,)
 
     return _node(data, (a,), back, "sum_over_axes")
 
@@ -432,12 +450,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: in
     wo = (w + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {weight.shape}")
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-    cols = np.empty((ho, wo, kh, kw, c_in))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride, :]
-    patches = cols.reshape(ho * wo, kh * kw * c_in)
+    xp = np.zeros((h + 2 * padding, w + 2 * padding, c_in))
+    xp[padding : padding + h, padding : padding + w] = x.data
+    # im2col: a (Ho, Wo, kh, kw, C_in) window view over the padded buffer,
+    # copied into patch rows by the reshape
+    s_r, s_c, s_ch = xp.strides
+    windows = np.ndarray((ho, wo, kh, kw, c_in), np.float64, xp, 0,
+                         (stride * s_r, stride * s_c, s_r, s_c, s_ch))
+    patches = windows.reshape(ho * wo, kh * kw * c_in)
     w2 = weight.data.reshape(kh * kw * c_in, c_out)
     data = (patches @ w2 + bias.data).reshape(ho, wo, c_out)
 

@@ -130,8 +130,8 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
                   config_text: str = "",
                   invariant_monitor: Optional[Callable] = None):
     """Minimize l_vqa + alpha*l_type end to end; returns (model, final metrics)."""
-    os.makedirs(out_dir, exist_ok=True)
-    vqa, _, vocab, _ = load_dataset(config.data_dir)
+    vqa, _, vocab, data_config = load_dataset(config.data_dir)
+    config.check_dataset(data_config)
     train = vqa["train"]
     if not train:
         raise ValueError("train split is empty")
@@ -147,6 +147,7 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
                              config.batch_size)
     monitor_idx = [int(i) for i in
                    rng.child("monitor").gen.permutation(len(train))[: config.batch_size]]
+    os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     state = OptimState(lr=config.lr)
 
@@ -221,8 +222,9 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
     task and compatibility accuracy per encoder), one checkpoint per encoder,
     and pretrain_all.cmtb holding the three encoder weights for transfer.
     """
+    _, pretrain, vocab, data_config = load_dataset(config.data_dir)
+    config.check_dataset(data_config)
     os.makedirs(out_dir, exist_ok=True)
-    _, pretrain, vocab, _ = load_dataset(config.data_dir)
     multi = config.pretrain_mode == "multi"
 
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))

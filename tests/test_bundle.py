@@ -81,3 +81,40 @@ def test_names_with_unicode(tmp_path, gen):
     path = tmp_path / "u.cmtb"
     write_bundle({"emb/täble": x}, path)
     assert np.array_equal(read_bundle(path)["emb/täble"], x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises_and_writes_nothing(tmp_path, gen, bad):
+    x = gen.standard_normal(4)
+    x[2] = bad
+    with pytest.raises(BundleError, match="'w'.*non-finite"):
+        write_bundle({"ok": gen.standard_normal(3), "w": x}, tmp_path / "n.cmtb")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_bundle_survives_rejected_write(tmp_path, gen):
+    path = tmp_path / "keep.cmtb"
+    x = gen.standard_normal((2, 3))
+    write_bundle({"x": x}, path)
+    with pytest.raises(BundleError):
+        write_bundle({"x": np.full((2, 3), np.nan)}, path)
+    assert read_bundle(path)["x"].tobytes() == x.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.cmtb"]
+
+
+def test_existing_bundle_survives_interrupted_write(tmp_path, gen, monkeypatch):
+    import cmvqa.bundle
+
+    path = tmp_path / "keep.cmtb"
+    x = gen.standard_normal(5)
+    write_bundle({"x": x}, path)
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cmvqa.bundle.os, "replace", fail_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_bundle({"x": gen.standard_normal(5)}, path)
+    monkeypatch.undo()
+    assert read_bundle(path)["x"].tobytes() == x.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.cmtb"]

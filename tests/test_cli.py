@@ -111,6 +111,24 @@ class TestErrors:
         assert "unknown key 'task_abdomen'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dataset_built_under_other_dimensions_rejected_before_output(self, tmp_path, capsys):
+        built = tmp_path / "built.cfg"
+        built.write_text(TINY_CFG.format(data_dir=tmp_path / "data")
+                         .replace("image_size = 8", "image_size = 16"))
+        assert main(["gen-data", "--config", str(built)]) == 0
+        run = tmp_path / "run.cfg"
+        run.write_text(built.read_text().replace("grid = 2", "grid = 4"))
+        capsys.readouterr()
+        for command in ("train", "pretrain"):
+            out = tmp_path / command
+            assert main([command, "--config", str(run), "--out", str(out)]) == 2
+            assert "grid = 2 in the dataset, 4 in the config" in capsys.readouterr().err
+            assert not out.exists()
+        assert main(["eval", "--config", str(run), "--init", str(tmp_path / "any.cmtb")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid = 2 in the dataset" in captured.err
+
     def test_train_without_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "missing"))

@@ -115,6 +115,20 @@ class TestDerivedConfigs:
         assert dc.noise == 0.3
         assert dc.train_frac == 0.6
 
+    def test_check_dataset_accepts_own_data_config(self):
+        config = parse_config("image_size = 16\ngrid = 2\nnoise = 0.3")
+        config.check_dataset(config.data_config())
+
+    def test_check_dataset_names_every_differing_key(self):
+        built = parse_config("grid = 2\nnoise = 0.3").data_config()
+        config = parse_config("grid = 4\nshape_gain = 1.2\nnoise = 0.3")
+        with pytest.raises(ConfigError) as err:
+            config.check_dataset(built)
+        message = str(err.value)
+        assert "grid = 2 in the dataset, 4 in the config" in message
+        assert "shape_gain = 2.0 in the dataset, 1.2 in the config" in message
+        assert "noise" not in message
+
     def test_cmsa_config_glimpse_override(self):
         config = parse_config("glimpses = 2")
         assert config.cmsa_config().glimpses == 2

@@ -316,6 +316,10 @@ class TestPlumbingOps:
         out.backward()
         assert np.allclose(x.grad, np.full((1, 3), 4.0))
 
+    def test_broadcast_to_rejects_fewer_axes(self):
+        with pytest.raises(ShapeError, match="fewer axes"):
+            broadcast_to(Tensor(np.zeros((1, 1, 3))), (3,))
+
     def test_stack_rows(self, gen):
         parts = [Tensor(gen.standard_normal(3)) for _ in range(4)]
         out = stack_rows(parts)
@@ -356,24 +360,28 @@ OP_CASES = {
 }
 
 
+def _op_inputs(gen) -> dict:
+    return {
+        "a": Tensor(gen.standard_normal((2, 3)) + 0.1, requires_grad=True),
+        "b": Tensor(gen.standard_normal((2, 3)), requires_grad=True),
+        "row": Tensor(gen.standard_normal((1, 4)), requires_grad=True),
+        "m1": Tensor(gen.standard_normal((3, 4)), requires_grad=True),
+        "m2": Tensor(gen.standard_normal((4, 2)), requires_grad=True),
+        "x3": Tensor(gen.standard_normal((2, 2, 3)), requires_grad=True),
+        "w": Tensor(gen.standard_normal((3, 4)), requires_grad=True),
+        "bias": Tensor(gen.standard_normal(4), requires_grad=True),
+        "logits": Tensor(gen.standard_normal(5), requires_grad=True),
+        "img": Tensor(gen.standard_normal((4, 4, 2)), requires_grad=True),
+        "kern": Tensor(gen.standard_normal((3, 3, 2, 2)) * 0.5, requires_grad=True),
+        "kb": Tensor(gen.standard_normal(2), requires_grad=True),
+    }
+
+
 @pytest.mark.parametrize("op_name", sorted(OP_CASES))
 def test_every_op_passes_grad_check_at_5_random_points(op_name):
     for point in range(5):
         gen = np.random.default_rng(100 * point + 7)
-        params = {
-            "a": Tensor(gen.standard_normal((2, 3)) + 0.1, requires_grad=True),
-            "b": Tensor(gen.standard_normal((2, 3)), requires_grad=True),
-            "row": Tensor(gen.standard_normal((1, 4)), requires_grad=True),
-            "m1": Tensor(gen.standard_normal((3, 4)), requires_grad=True),
-            "m2": Tensor(gen.standard_normal((4, 2)), requires_grad=True),
-            "x3": Tensor(gen.standard_normal((2, 2, 3)), requires_grad=True),
-            "w": Tensor(gen.standard_normal((3, 4)), requires_grad=True),
-            "bias": Tensor(gen.standard_normal(4), requires_grad=True),
-            "logits": Tensor(gen.standard_normal(5), requires_grad=True),
-            "img": Tensor(gen.standard_normal((4, 4, 2)), requires_grad=True),
-            "kern": Tensor(gen.standard_normal((3, 3, 2, 2)) * 0.5, requires_grad=True),
-            "kb": Tensor(gen.standard_normal(2), requires_grad=True),
-        }
+        params = _op_inputs(gen)
         build = OP_CASES[op_name]
 
         def objective():
@@ -382,6 +390,21 @@ def test_every_op_passes_grad_check_at_5_random_points(op_name):
         used = {k: v for k, v in params.items() if _touches(op_name, k)}
         report = grad_check(objective, used, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("op_name", sorted(OP_CASES))
+def test_ops_never_write_into_their_inputs(op_name):
+    """Outputs may alias inputs (reshape returns a view), so no op may write
+    into an input's data, forward or backward: read-only inputs must pass."""
+    gen = np.random.default_rng(7)
+    params = _op_inputs(gen)
+    before = {k: t.data.copy() for k, t in params.items()}
+    for t in params.values():
+        t.data.flags.writeable = False
+    _scalarize(OP_CASES[op_name](params, gen)).backward()
+    for k, t in params.items():
+        assert t.data.tobytes() == before[k].tobytes()
+        assert (t.grad is not None) == _touches(op_name, k)
 
 
 def _touches(op_name: str, key: str) -> bool:
@@ -427,6 +450,94 @@ def test_forward_backward_bit_identical_across_runs():
     assert v1 == v2
     assert np.array_equal(ga1, ga2)
     assert np.array_equal(gb1, gb2)
+
+
+def _sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """The masked formula: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_two_branch_formula(gen):
+    edges = [0.0, 1e-300, 1.0, 30.0, 700.0, 800.0]
+    x = np.concatenate([edges, np.negative(edges), gen.standard_normal(500) * 20.0])
+    a = Tensor(x, requires_grad=True)
+    out = sigmoid(a)
+    ref = _sigmoid_two_branch(x)
+    assert np.array_equal(out.data, ref)
+    assert out.data.tobytes() == ref.tobytes()
+    sum_over_axes(out, (0,)).backward()
+    assert a.grad.tobytes() == (ref * (1.0 - ref)).tobytes()
+
+
+def _conv2d_pad_reference(x, w, b, g, stride, padding):
+    """im2col conv with np.pad and a per-tap gather; returns out, gx, gw, gb for
+    the upstream gradient g."""
+    h, wd, c_in = x.shape
+    kh, kw, _, c_out = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    cols = np.empty((ho, wo, kh, kw, c_in))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j, :] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride, :]
+    patches = cols.reshape(ho * wo, kh * kw * c_in)
+    w2 = w.reshape(kh * kw * c_in, c_out)
+    out = (patches @ w2 + b).reshape(ho, wo, c_out)
+    g2 = g.reshape(ho * wo, c_out)
+    gcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, c_in)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += gcols[:, :, i, j, :]
+    gx = gxp[padding : padding + h, padding : padding + wd, :]
+    return out, gx, (patches.T @ g2).reshape(w.shape), g2.sum(axis=0)
+
+
+@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 0), (1, 1), (2, 0), (2, 2), (3, 1)])
+@pytest.mark.parametrize("shape", [(8, 8, 1), (5, 7, 3), (16, 16, 4)])
+def test_conv2d_bit_identical_to_pad_reference(gen, shape, stride, padding):
+    x = Tensor(gen.standard_normal(shape), requires_grad=True)
+    w = Tensor(gen.standard_normal((3, 3, shape[2], 5)), requires_grad=True)
+    b = Tensor(gen.standard_normal(5), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, padding=padding)
+    g = gen.standard_normal(out.shape)
+    sum_over_axes(mul(out, Tensor(g)), (0, 1, 2)).backward()
+    ref = _conv2d_pad_reference(x.data, w.data, b.data, g, stride, padding)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("op_name,build", [
+    ("add", lambda t: add(t, Tensor(np.ones(t.shape)))),
+    ("mul", lambda t: mul(t, Tensor(np.ones(t.shape)))),
+    ("reshape", lambda t: reshape(t, (6,))),
+    ("broadcast_to", lambda t: broadcast_to(t, (4, 2, 3))),
+    ("slice_last", lambda t: slice_last(t, 0, 3)),
+    ("conv2d", lambda t: conv2d(Tensor(t.data.reshape(2, 3, 1)), Tensor(np.ones((1, 1, 1, 1))),
+                                Tensor(np.zeros(1)), stride=1, padding=0)),
+])
+def test_non_finite_output_names_the_op(op_name, build, bad):
+    x = np.arange(6.0).reshape(2, 3)
+    x[0, 0] = bad
+    with pytest.raises(NonFiniteError, match=f"'{op_name}'") as err:
+        build(Tensor(x))
+    assert err.value.op == op_name
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_output_with_overflowing_sum_is_accepted_silently():
+    out = add(Tensor(np.full(2, 9e307)), Tensor(np.zeros(2)))
+    assert np.array_equal(out.data, np.full(2, 9e307))
+    out = reshape(Tensor(np.full((2, 2), 1.7e308)), (4,))
+    assert out.shape == (4,)
 
 
 def test_finite_outputs_enforced():
