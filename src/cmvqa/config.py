@@ -17,17 +17,18 @@ class ConfigError(Exception):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(DataConfig):
+    """Every settable value.  The data settings (image_size, grid, l_w, noise,
+    shape_gain, train_frac, val_frac) are DataConfig's; grid and l_w also
+    size the model."""
+
     # reproducibility
     seed: int = 0
 
     # model dimensions
-    image_size: int = 32
-    grid: int = 4
     c_v: int = 32
     d_q: int = 32
     d_emb: int = 16
-    l_w: int = 6
     glimpses: int = 2
     scaled_attention: bool = False
 
@@ -46,33 +47,19 @@ class RunConfig:
     # data
     n_vqa: int = 300
     n_pretrain: int = 120
-    noise: float = 0.1
-    texture_amp: float = 1.0
-    shape_gain: float = 2.0
-    train_frac: float = 0.7
-    val_frac: float = 0.15
     data_dir: str = "data"
     eval_split: str = "test"
     frozen_embedding_path: str = ""
 
     def data_config(self) -> DataConfig:
-        return DataConfig(
-            image_size=self.image_size,
-            cell_grid=self.grid,
-            l_w=self.l_w,
-            noise=self.noise,
-            texture_amp=self.texture_amp,
-            shape_gain=self.shape_gain,
-            train_frac=self.train_frac,
-            val_frac=self.val_frac,
-        )
+        return DataConfig(**{f.name: getattr(self, f.name) for f in fields(DataConfig)})
 
     def check_dataset(self, found: DataConfig) -> None:
         """Reject a dataset generated under other data settings than this config."""
         want = vars(self.data_config())
         have = vars(found)
-        diffs = [f"{'grid' if k == 'cell_grid' else k} = {have[k]} in the dataset, "
-                 f"{want[k]} in the config" for k in want if have[k] != want[k]]
+        diffs = [f"{k} = {have[k]} in the dataset, {want[k]} in the config"
+                 for k in want if have[k] != want[k]]
         if diffs:
             raise ConfigError(f"dataset in {self.data_dir} was generated under other "
                               "settings: " + "; ".join(diffs))

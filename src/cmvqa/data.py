@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -36,11 +36,12 @@ _PRETRAIN_TASKS = (("segmentation", 2), ("classification", len(SHAPE_NAMES)),
 
 @dataclass
 class DataConfig:
+    """The settings a dataset is generated under, saved as data_config.json."""
+
     image_size: int = 32
-    cell_grid: int = 4        # questions address cells of this grid
+    grid: int = 4             # questions address cells of this grid
     l_w: int = 6
     noise: float = 0.1
-    texture_amp: float = 1.0
     shape_gain: float = 2.0
     train_frac: float = 0.7   # val_frac follows; test takes the remainder
     val_frac: float = 0.15
@@ -53,7 +54,6 @@ class VqaSample:
     answer_id: int
     type_id: int
     question_kind: str         # "open" | "closed"
-    true_length: int
 
 
 @dataclass
@@ -63,26 +63,25 @@ class PretrainSample:
     task_target: object        # class id (int) or (H, W) mask
     paired_token_ids: List[int]
     compat_label: int
-    paired_true_length: int
 
 
 def build_vocabulary(config: DataConfig) -> Vocabulary:
     tokens = ["what", "shape", "in", "is"]
     tokens += list(TYPE_NAMES) + list(SHAPE_NAMES)
-    tokens += [f"r{i}" for i in range(config.cell_grid)]
-    tokens += [f"c{i}" for i in range(config.cell_grid)]
+    tokens += [f"r{i}" for i in range(config.grid)]
+    tokens += [f"c{i}" for i in range(config.grid)]
     return Vocabulary(tokens)
 
 
 # -- image drawing ---------------------------------------------------------------
 
 
-def _texture(type_id: int, size: int, amp: float) -> np.ndarray:
+def _texture(type_id: int, size: int) -> np.ndarray:
     idx = np.arange(size)
     if type_id == 0:    # horizontal stripes (varies down the rows)
-        return np.tile(amp * np.sin(2 * np.pi * 3 * idx / size)[:, None], (1, size))
+        return np.tile(np.sin(2 * np.pi * 3 * idx / size)[:, None], (1, size))
     if type_id == 1:    # vertical stripes (varies along the columns)
-        return np.tile(amp * np.sin(2 * np.pi * 3 * idx / size)[None, :], (size, 1))
+        return np.tile(np.sin(2 * np.pi * 3 * idx / size)[None, :], (size, 1))
     return np.zeros((size, size))
 
 
@@ -110,8 +109,8 @@ def draw_image(gen, type_id: int, shape_id: int, cell: Tuple[int, int],
                config: DataConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Render texture + noise + one bright shape; return (image, pixel mask)."""
     size = config.image_size
-    cs = size // config.cell_grid
-    img = _texture(type_id, size, config.texture_amp) + gen.normal(0.0, config.noise, (size, size))
+    cs = size // config.grid
+    img = _texture(type_id, size) + gen.normal(0.0, config.noise, (size, size))
     mask = np.zeros((size, size))
     r0, c0 = cell[0] * cs, cell[1] * cs
     local = _shape_mask(shape_id, cs)
@@ -163,7 +162,7 @@ def generate_vqa(seed: int, n: int, config: DataConfig,
     rng = Rng(seed).child("vqa")
     gen = rng.gen
     samples = []
-    g = config.cell_grid
+    g = config.grid
     for i in range(n):
         type_id = int(gen.integers(0, 3))
         shape_id = int(gen.integers(0, 3))
@@ -182,10 +181,9 @@ def generate_vqa(seed: int, n: int, config: DataConfig,
                 answer = 1  # no
             tokens = closed_question(asked, type_id, cell)
             kind = "closed"
-        ids, true_len = tokenize_pad(tokens, vocab, config.l_w)
         samples.append(
-            VqaSample(image=image, token_ids=ids, answer_id=answer,
-                      type_id=type_id, question_kind=kind, true_length=true_len)
+            VqaSample(image=image, token_ids=tokenize_pad(tokens, vocab, config.l_w),
+                      answer_id=answer, type_id=type_id, question_kind=kind)
         )
 
     test_frac = 1.0 - config.train_frac - config.val_frac
@@ -198,7 +196,7 @@ def generate_vqa(seed: int, n: int, config: DataConfig,
 def question_pool(config: DataConfig, vocab: Vocabulary):
     """Every open/closed template instance, with token ids and compat sets."""
     pool = []
-    g = config.cell_grid
+    g = config.grid
     for type_id in range(3):
         for r in range(g):
             for c in range(g):
@@ -207,26 +205,26 @@ def question_pool(config: DataConfig, vocab: Vocabulary):
                     closed_question(s, type_id, (r, c)) for s in range(3)
                 ]
                 for tokens in variants:
-                    ids, true_len = tokenize_pad(tokens, vocab, config.l_w)
-                    pool.append((ids, true_len, compatible_types(tokens)))
+                    pool.append((tokenize_pad(tokens, vocab, config.l_w),
+                                 compatible_types(tokens)))
     return pool
 
 
-def pair_for_compatibility(type_id: int, pool, gen) -> Tuple[List[int], int, int]:
+def pair_for_compatibility(type_id: int, pool, gen) -> Tuple[List[int], int]:
     """Draw a question for an image, rebalanced to ~50% positive labels.
 
-    Returns (token_ids, true_length, compat_label).
+    Returns (token_ids, compat_label).
     """
     if not pool:
         raise ValueError("question pool is empty")
-    positives = [p for p in pool if type_id in p[2]]
-    negatives = [p for p in pool if type_id not in p[2]]
+    positives = [p for p in pool if type_id in p[1]]
+    negatives = [p for p in pool if type_id not in p[1]]
     if positives and negatives:
         subset = positives if gen.random() < 0.5 else negatives
     else:
         subset = positives or negatives
-    ids, true_len, compat = subset[int(gen.integers(0, len(subset)))]
-    return ids, true_len, int(type_id in compat)
+    ids, compat = subset[int(gen.integers(0, len(subset)))]
+    return ids, int(type_id in compat)
 
 
 def pretrain_task_kind(type_id: int) -> str:
@@ -244,7 +242,7 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
     """Single-type corpora: segmentation for type 0, classification for 1 and 2."""
     pool = question_pool(config, vocab)
     out = {}
-    g = config.cell_grid
+    g = config.grid
     for type_id in range(3):
         rng = Rng(seed).child(f"pretrain{type_id}")
         gen = rng.gen
@@ -259,11 +257,10 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
                 target = shape_id                   # which shape
             else:
                 target = int(shape_id == 2)         # contains a cross?
-            ids, true_len, label = pair_for_compatibility(type_id, pool, gen)
+            ids, label = pair_for_compatibility(type_id, pool, gen)
             samples.append(
                 PretrainSample(image=image, type_id=type_id, task_target=target,
-                               paired_token_ids=ids, compat_label=label,
-                               paired_true_length=true_len)
+                               paired_token_ids=ids, compat_label=label)
             )
         splits = split_indices(n_per_type, {"train": 0.85, "val": 0.15})
         out[type_id] = {name: [samples[i] for i in idx] for name, idx in splits.items()}
@@ -326,8 +323,16 @@ def load_dataset(out_dir):
 
     tensors = read_bundle(os.path.join(out_dir, "data.cmtb"))
     vocab = Vocabulary.load(os.path.join(out_dir, "vocab.txt"))
-    with open(os.path.join(out_dir, "data_config.json"), encoding="utf-8") as fh:
-        config = DataConfig(**json.load(fh))
+    config_path = os.path.join(out_dir, "data_config.json")
+    with open(config_path, encoding="utf-8") as fh:
+        saved = json.load(fh)
+    want = [f.name for f in fields(DataConfig)]
+    diffs = [f"unknown key {k!r}" for k in sorted(set(saved) - set(want))]
+    diffs += [f"missing key {k!r}" for k in want if k not in saved]
+    if diffs:
+        raise ValueError(f"{config_path} does not hold this version's data settings "
+                         f"({', '.join(diffs)}); regenerate the dataset with cmvqa gen-data")
+    config = DataConfig(**saved)
 
     vqa = {"train": [], "val": [], "test": []}
     pretrain = {0: {"train": [], "val": []}, 1: {"train": [], "val": []},
@@ -337,7 +342,6 @@ def load_dataset(out_dir):
             row = json.loads(line)
             image = tensors[row["image"]]
             ids = [int(t) for t in row["tokens"]]
-            true_len = sum(1 for t in ids if t != 0)
             if row["kind"] == "pretrain":
                 type_id = row["type"]
                 if pretrain_task_kind(type_id) == "segmentation":
@@ -348,13 +352,11 @@ def load_dataset(out_dir):
                 label = int(type_id in compatible_types(tokens))
                 pretrain[type_id][row["split"]].append(
                     PretrainSample(image=image, type_id=type_id, task_target=target,
-                                   paired_token_ids=ids, compat_label=label,
-                                   paired_true_length=true_len)
+                                   paired_token_ids=ids, compat_label=label)
                 )
             else:
                 vqa[row["split"]].append(
                     VqaSample(image=image, token_ids=ids, answer_id=int(row["answer"]),
-                              type_id=row["type"], question_kind=row["kind"],
-                              true_length=true_len)
+                              type_id=row["type"], question_kind=row["kind"])
                 )
     return vqa, pretrain, vocab, config

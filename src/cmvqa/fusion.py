@@ -11,7 +11,7 @@ per word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -93,16 +93,6 @@ class CmsaState:
     a: List[Tensor]
     f_prime: Tensor
     f_hat: Tensor
-
-    def as_arrays(self) -> Dict[str, np.ndarray]:
-        """Flat name -> array view for bundle dumping."""
-        out = {"f": self.f.data, "f_prime": self.f_prime.data, "f_hat": self.f_hat.data}
-        for i, (q, k, v, a) in enumerate(zip(self.q, self.k, self.v, self.a)):
-            out[f"glimpse{i}/q"] = q.data
-            out[f"glimpse{i}/k"] = k.data
-            out[f"glimpse{i}/v"] = v.data
-            out[f"glimpse{i}/a"] = a.data
-        return out
 
 
 def init_cmsa(gen, config: CmsaConfig) -> CmsaParams:

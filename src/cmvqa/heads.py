@@ -4,7 +4,8 @@ Answer scores come from summing F_hat + q over the word axis and feeding a
 2-layer MLP; compatibility uses the same aggregation into a 2-way MLP.  The
 image-understanding heads are a 3-layer MLP classifier and a small
 upsampling segmentation decoder.  Loss totals follow the two compositions
-total = l_vqa + alpha*l_type and total = l_spe + l_com.
+total = l_vqa + alpha*l_type and total = l_spe + l_com (l_spe alone in
+single-task pre-training).
 """
 
 from __future__ import annotations
@@ -163,13 +164,16 @@ def vqa_loss(answer_logits: Tensor, answer_target: int, type_logits: Tensor,
     return total, report
 
 
-def pretrain_loss(spe_logits: Tensor, spe_target, com_logits: Tensor,
+def pretrain_loss(spe_logits: Tensor, spe_target, com_logits: Optional[Tensor],
                   com_target: int) -> Tuple[Tensor, LossReport]:
     """total = l_spe + l_com; l_spe is image_task_loss, l_com is cross-entropy
-    over the 2-way compatibility logits."""
+    over the 2-way compatibility logits.  Without compatibility logits (the
+    single-task arm) total = l_spe."""
+    l_spe = image_task_loss(spe_logits, spe_target)
+    if com_logits is None:
+        return l_spe, LossReport(total=l_spe.item(), l_spe=l_spe.item())
     if com_target not in (0, 1):
         raise ValueError(f"compatibility target must be 0 or 1, got {com_target}")
-    l_spe = image_task_loss(spe_logits, spe_target)
     l_com = cross_entropy(com_logits, com_target)
     total = add(l_spe, l_com)
     report = LossReport(

@@ -7,7 +7,7 @@ encoder weight transfer all key on.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -92,8 +92,8 @@ class _QuestionSide:
             rng, vocab_size, config.d_emb, config.d_q, frozen_first=frozen
         )
 
-    def encode(self, token_ids, true_length: int) -> QuestionEmbedding:
-        return encode_question(embed(token_ids, self.embedding), self.lstm, true_length)
+    def encode(self, token_ids) -> QuestionEmbedding:
+        return encode_question(embed(token_ids, self.embedding), self.lstm)
 
     def register(self, params: Dict[str, Tensor]) -> None:
         if self.embedding.first.requires_grad:
@@ -141,7 +141,7 @@ class VqaModel:
         v = blend(backbone_forward(image, self.backbones["abdomen"]),
                   backbone_forward(image, self.backbones["head"]),
                   backbone_forward(image, self.backbones["chest"]), gate)
-        q = self.question.encode(sample.token_ids, sample.true_length)
+        q = self.question.encode(sample.token_ids)
         f_hat, state = cmsa_fuse(v, self.s, q, self.cmsa, self.cmsa_config)
         return predict_answer(f_hat, q.q, self.answer), gate, state
 
@@ -185,20 +185,16 @@ class PretrainModel:
             _register_mlp(out, "task", self.task_head)
         return out
 
-    def forward(self, sample: PretrainSample) -> Tuple[Tensor, Tensor]:
-        """Returns (task logits, compatibility logits)."""
-        image = Tensor(sample.image)
-        features = backbone_forward(image, self.backbone)
-        task_logits = image_task_head(features, self.task, self.task_head)
-        q = self.question.encode(sample.paired_token_ids, sample.paired_true_length)
-        f_hat, _ = cmsa_fuse(features, self.s, q, self.cmsa, self.cmsa_config)
-        com_logits = compatibility_head(f_hat, q.q, self.compat)
-        return task_logits, com_logits
-
-    def forward_task_only(self, sample: PretrainSample) -> Tensor:
-        """Single-task variant: no question pathway at all."""
+    def forward(self, sample: PretrainSample) -> Tuple[Tensor, Optional[Tensor]]:
+        """Returns (task logits, compatibility logits).  In single pretrain
+        mode the question pathway does not run and the second item is None."""
         features = backbone_forward(Tensor(sample.image), self.backbone)
-        return image_task_head(features, self.task, self.task_head)
+        task_logits = image_task_head(features, self.task, self.task_head)
+        if self.config.pretrain_mode == "single":
+            return task_logits, None
+        q = self.question.encode(sample.paired_token_ids)
+        f_hat, _ = cmsa_fuse(features, self.s, q, self.cmsa, self.cmsa_config)
+        return task_logits, compatibility_head(f_hat, q.q, self.compat)
 
 
 # -- checkpoints -------------------------------------------------------------------

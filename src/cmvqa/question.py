@@ -9,7 +9,7 @@ per word, giving q of shape (L_w, D_q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -66,12 +66,10 @@ class Vocabulary:
         return vocab
 
 
-def tokenize_pad(tokens: Sequence[str], vocab: Vocabulary, l_w: int) -> Tuple[List[int], int]:
+def tokenize_pad(tokens: Sequence[str], vocab: Vocabulary, l_w: int) -> List[int]:
     """Map tokens to ids, trim to l_w, right-pad with the pad id."""
     ids = [vocab.id_of(t) for t in tokens[:l_w]]
-    true_length = len(ids)
-    ids += [PAD_ID] * (l_w - true_length)
-    return ids, true_length
+    return ids + [PAD_ID] * (l_w - len(ids))
 
 
 @dataclass
@@ -120,11 +118,12 @@ def embed(ids: Sequence[int], params: EmbeddingParams) -> Tensor:
 @dataclass
 class QuestionEmbedding:
     q: Tensor  # (L_w, D_q)
-    true_length: int
+    # Unread: the LSTM runs over the pad positions too.  Kept only so callers
+    # that still pass it keep working.
+    true_length: Optional[int] = None
 
 
-def encode_question(embeddings: Tensor, lstm: LstmParams,
-                    true_length: int) -> QuestionEmbedding:
+def encode_question(embeddings: Tensor, lstm: LstmParams) -> QuestionEmbedding:
     """Run the LSTM over every position from zero state, keeping all hidden rows."""
     l_w, d_emb = embeddings.shape
     if d_emb != lstm.input_size:
@@ -137,7 +136,7 @@ def encode_question(embeddings: Tensor, lstm: LstmParams,
         x_t = reshape(rows(embeddings, [t]), (d_emb,))
         h, c = lstm_step(x_t, h, c, lstm)
         states.append(h)
-    return QuestionEmbedding(q=stack_rows(states), true_length=true_length)
+    return QuestionEmbedding(q=stack_rows(states))
 
 
 def init_question_encoder(gen, vocab_size: int, d_emb: int, d_q: int,

@@ -8,13 +8,13 @@ seed) runs produce bit-identical metrics files.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .config import RunConfig
 from .data import TYPE_NAMES, load_dataset
-from .heads import LossReport, image_task_loss, pretrain_loss, vqa_loss
+from .heads import LossReport, pretrain_loss, vqa_loss
 from .model import (
     PretrainModel,
     VqaModel,
@@ -87,6 +87,31 @@ def _optimize_step(params: Dict[str, Tensor], loss: Tensor, state: OptimState) -
     return state
 
 
+def _fit(params: Dict[str, Tensor], train, rng: Rng, steps: int, batch: int,
+         config: RunConfig, sample_loss: Callable) -> Iterator[Tuple[int, List[LossReport]]]:
+    """Adam over a fixed batch order; every log_every steps and at the last
+    one, yields (step, the monitor batch's loss reports).
+
+    sample_loss(sample, training) returns (loss tensor, LossReport); training
+    is False for the monitor batch.
+    """
+    batches = _batch_indices(rng.child("batch-order"), len(train), steps, batch)
+    monitor = [train[int(i)] for i in rng.child("monitor").gen.permutation(len(train))[:batch]]
+    state = OptimState(lr=config.lr)
+    for step, idx in enumerate(batches, start=1):
+        # built inline so no name holds this step's graphs into the next step
+        state = _optimize_step(
+            params, _mean_loss([sample_loss(train[i], True)[0] for i in idx]), state)
+        if step % config.log_every == 0 or step == steps:
+            yield step, [sample_loss(s, False)[1] for s in monitor]
+
+
+def _mean(reports: List[LossReport], field: str) -> Optional[float]:
+    """Mean of one loss component over the reports; None where it is unset."""
+    values = [getattr(r, field) for r in reports]
+    return None if None in values else sum(values) / len(values)
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 
@@ -142,48 +167,24 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
         arrays, _, _ = load_checkpoint(init_path)
         apply_checkpoint(params, arrays, prefix="backbone/")
 
-    rng = Rng(config.seed)
-    batches = _batch_indices(rng.child("batch-order"), len(train), config.steps,
-                             config.batch_size)
-    monitor_idx = [int(i) for i in
-                   rng.child("monitor").gen.permutation(len(train))[: config.batch_size]]
     os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
-    state = OptimState(lr=config.lr)
 
-    def monitor_losses():
-        vqa_vals, type_vals = [], []
-        for i in monitor_idx:
-            s = train[i]
-            logits, gate, st = model.forward(s)
-            _, report = vqa_loss(logits, s.answer_id, gate.logits, s.type_id, config.alpha)
-            vqa_vals.append(report.l_vqa)
-            type_vals.append(report.l_type)
-        l_vqa = sum(vqa_vals) / len(vqa_vals)
-        l_type = sum(type_vals) / len(type_vals)
-        return l_vqa, l_type, l_vqa + config.alpha * l_type
+    def sample_loss(s, training):
+        logits, gate, st = model.forward(s)
+        if training and invariant_monitor is not None:
+            invariant_monitor(gate, st)
+        return vqa_loss(logits, s.answer_id, gate.logits, s.type_id, config.alpha)
 
-    for step in range(1, config.steps + 1):
-        losses = []
-        for i in batches[step - 1]:
-            s = train[i]
-            logits, gate, st = model.forward(s)
-            if invariant_monitor is not None:
-                invariant_monitor(gate, st)
-            total, _ = vqa_loss(logits, s.answer_id, gate.logits, s.type_id, config.alpha)
-            losses.append(total)
-        state = _optimize_step(params, _mean_loss(losses), state)
-
-        if step % config.log_every == 0 or step == config.steps:
-            l_vqa, l_type, total = monitor_losses()
-            if step == config.steps:
-                final_eval = run_eval(model, vqa[config.eval_split])
-                writer.row(step, l_vqa=l_vqa, l_type=l_type, total=total,
-                           open_acc=final_eval["open_acc"],
-                           closed_acc=final_eval["closed_acc"],
-                           all_acc=final_eval["all_acc"])
-            else:
-                writer.row(step, l_vqa=l_vqa, l_type=l_type, total=total)
+    for step, reports in _fit(params, train, Rng(config.seed), config.steps,
+                              config.batch_size, config, sample_loss):
+        l_vqa, l_type = _mean(reports, "l_vqa"), _mean(reports, "l_type")
+        accuracy = {}
+        if step == config.steps:
+            final_eval = run_eval(model, vqa[config.eval_split])
+            accuracy = {k: final_eval[k] for k in ("open_acc", "closed_acc", "all_acc")}
+        writer.row(step, l_vqa=l_vqa, l_type=l_type, total=l_vqa + config.alpha * l_type,
+                   **accuracy)
 
     save_checkpoint(params, config.steps, config_text,
                     os.path.join(out_dir, "checkpoint.cmtb"))
@@ -193,14 +194,12 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
 # -- pre-training -----------------------------------------------------------------------
 
 
-def _pretrain_val_metrics(model: PretrainModel, samples, multi: bool):
-    task_hits, task_total, com_hits = 0, 0, 0
+def _pretrain_val_metrics(model: PretrainModel, samples):
+    task_hits, task_total, com_hits = 0, 0, []
     for s in samples:
-        if multi:
-            task_logits, com_logits = model.forward(s)
-            com_hits += int(np.argmax(com_logits.data) == s.compat_label)
-        else:
-            task_logits = model.forward_task_only(s)
+        task_logits, com_logits = model.forward(s)
+        if com_logits is not None:
+            com_hits.append(int(np.argmax(com_logits.data) == s.compat_label))
         if model.task == "segmentation":
             pred = np.argmax(task_logits.data, axis=-1)
             task_hits += (pred == s.task_target).sum()
@@ -209,8 +208,8 @@ def _pretrain_val_metrics(model: PretrainModel, samples, multi: bool):
             task_hits += int(np.argmax(task_logits.data) == s.task_target)
             task_total += 1
     out = {"task_acc": task_hits / task_total}
-    if multi:
-        out["compat_acc"] = com_hits / len(samples)
+    if com_hits:
+        out["compat_acc"] = sum(com_hits) / len(samples)
     return out
 
 
@@ -225,7 +224,6 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
     _, pretrain, vocab, data_config = load_dataset(config.data_dir)
     config.check_dataset(data_config)
     os.makedirs(out_dir, exist_ok=True)
-    multi = config.pretrain_mode == "multi"
 
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     acc_path = os.path.join(out_dir, "pretrain_accuracy.csv")
@@ -242,43 +240,20 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
             raise ValueError(f"pretrain train split for type {type_id} is empty")
         model = PretrainModel(config, vocab.size, type_id)
         params = model.params()
+
+        def sample_loss(s, training):
+            task_logits, com_logits = model.forward(s)
+            return pretrain_loss(task_logits, s.task_target, com_logits, s.compat_label)
+
         rng = Rng(config.seed).child(f"pretrain-loop-{type_id}")
-        batches = _batch_indices(rng.child("batch-order"), len(train),
-                                 config.pretrain_steps, config.pretrain_batch)
-        monitor_idx = [int(i) for i in
-                       rng.child("monitor").gen.permutation(len(train))[: config.pretrain_batch]]
-        state = OptimState(lr=config.lr)
+        for step, reports in _fit(params, train, rng, config.pretrain_steps,
+                                  config.pretrain_batch, config, sample_loss):
+            l_spe, l_com = _mean(reports, "l_spe"), _mean(reports, "l_com")
+            writer.row(global_step + step, l_spe=l_spe, l_com=l_com,
+                       total=l_spe if l_com is None else l_spe + l_com)
+        global_step += config.pretrain_steps
 
-        def sample_loss(s):
-            if multi:
-                task_logits, com_logits = model.forward(s)
-                return pretrain_loss(task_logits, s.task_target, com_logits, s.compat_label)
-            # single-task arm: the compatibility term is dropped entirely
-            l_spe = image_task_loss(model.forward_task_only(s), s.task_target)
-            return l_spe, LossReport(total=l_spe.item(), l_spe=l_spe.item(), l_com=None)
-
-        def monitor_losses():
-            spe_vals, com_vals = [], []
-            for i in monitor_idx:
-                _, report = sample_loss(train[i])
-                spe_vals.append(report.l_spe)
-                if report.l_com is not None:
-                    com_vals.append(report.l_com)
-            l_spe = sum(spe_vals) / len(spe_vals)
-            if com_vals:
-                l_com = sum(com_vals) / len(com_vals)
-                return l_spe, l_com, l_spe + l_com
-            return l_spe, None, l_spe
-
-        for step in range(1, config.pretrain_steps + 1):
-            losses = [sample_loss(train[i])[0] for i in batches[step - 1]]
-            state = _optimize_step(params, _mean_loss(losses), state)
-            global_step += 1
-            if step % config.log_every == 0 or step == config.pretrain_steps:
-                l_spe, l_com, total = monitor_losses()
-                writer.row(global_step, l_spe=l_spe, l_com=l_com, total=total)
-
-        metrics = _pretrain_val_metrics(model, corpus["val"], multi)
+        metrics = _pretrain_val_metrics(model, corpus["val"])
         results[TYPE_NAMES[type_id]] = metrics
         with open(acc_path, "a", encoding="utf-8") as fh:
             compat = _fmt(metrics.get("compat_acc"))

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -128,6 +129,27 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "grid = 2 in the dataset" in captured.err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda saved: {**saved, "texture_amp": 1.0}, "unknown key 'texture_amp'"),
+        (lambda saved: {k: v for k, v in saved.items() if k != "noise"}, "missing key 'noise'"),
+    ], ids=["extra-key", "missing-key"])
+    def test_dataset_config_with_other_keys_rejected_before_output(self, tmp_path, capsys,
+                                                                  edit, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "data"))
+        assert main(["gen-data", "--config", str(cfg)]) == 0
+        path = tmp_path / "data" / "data_config.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        for command in ("train", "pretrain", "eval"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--init", str(tmp_path / "any.cmtb")]) == 2
+            captured = capsys.readouterr()
+            assert named in captured.err and "gen-data" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_train_without_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -111,7 +111,7 @@ class TestDerivedConfigs:
         config = parse_config("image_size = 16\ngrid = 2\nnoise = 0.3\ntrain_frac = 0.6")
         dc = config.data_config()
         assert dc.image_size == 16
-        assert dc.cell_grid == 2
+        assert dc.grid == 2
         assert dc.noise == 0.3
         assert dc.train_frac == 0.6
 

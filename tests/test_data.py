@@ -124,7 +124,7 @@ class TestAnswersAndKinds:
                 continue
             tokens = [vocab.token_of(t) for t in s.token_ids if t != 0]
             cell = (int(tokens[4][1:]), int(tokens[5][1:]))
-            cs = config.image_size // config.cell_grid
+            cs = config.image_size // config.grid
             patch = s.image[cell[0] * cs : (cell[0] + 1) * cs,
                             cell[1] * cs : (cell[1] + 1) * cs, 0]
             assert patch.max() > config.shape_gain * 0.8
@@ -144,14 +144,14 @@ class TestCompatibilityPairing:
         gen = np.random.default_rng(0)
         for _ in range(200):
             type_id = int(gen.integers(0, 3))
-            ids, _, label = pair_for_compatibility(type_id, pool, gen)
+            ids, label = pair_for_compatibility(type_id, pool, gen)
             tokens = [vocab.token_of(t) for t in ids if t != 0]
             assert label == int(type_id in compatible_types(tokens))
 
     def test_positive_fraction_near_half(self, config, vocab):
         pool = question_pool(config, vocab)
         gen = np.random.default_rng(1)
-        labels = [pair_for_compatibility(i % 3, pool, gen)[2] for i in range(10_000)]
+        labels = [pair_for_compatibility(i % 3, pool, gen)[1] for i in range(10_000)]
         assert 0.45 <= np.mean(labels) <= 0.55
 
     def test_empty_pool_rejected(self):

@@ -264,17 +264,6 @@ class TestCmsaFuse:
         for a in state.a:
             assert np.abs(a.data.sum(axis=1) - 1.0).max() <= 1e-9
 
-    def test_state_dumpable_to_bundle(self, gen, tmp_path):
-        from cmvqa.bundle import read_bundle, write_bundle
-
-        config = small_config(glimpses=1)
-        params = init_cmsa(Rng(11).gen, config)
-        v, s, q = random_inputs(gen, config)
-        _, state = cmsa_fuse(v, s, q, params, config)
-        write_bundle(state.as_arrays(), tmp_path / "state.cmtb")
-        back = read_bundle(tmp_path / "state.cmtb")
-        assert np.array_equal(back["glimpse0/a"], state.a[0].data)
-
     def test_full_gradient_check(self, gen):
         config = CmsaConfig(l_w=2, g=2, c_v=2, d_q=2, glimpses=2)
         params = init_cmsa(Rng(12).gen, config)

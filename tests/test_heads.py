@@ -175,6 +175,13 @@ class TestLossCompositions:
         assert report.total == report.l_spe + report.l_com
         assert abs(total.item() - report.total) < 1e-15
 
+    def test_pretrain_without_compat_is_task_loss(self, gen):
+        z_spe = Tensor(gen.standard_normal(3))
+        total, report = pretrain_loss(z_spe, 1, None, 0)
+        assert total.item() == cross_entropy(z_spe, 1).item()
+        assert report.total == report.l_spe == total.item()
+        assert report.l_com is None
+
     def test_uniform_compat_is_ln2(self, gen):
         _, report = pretrain_loss(Tensor(gen.standard_normal(3)), 0, Tensor([0.0, 0.0]), 1)
         assert abs(report.l_com - math.log(2)) < 1e-12

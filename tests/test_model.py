@@ -1,8 +1,11 @@
 """Tests for model assembly, parameter registries, and checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cmvqa import question
 from cmvqa.bundle import write_bundle
 from cmvqa.config import RunConfig
 from cmvqa.data import TYPE_NAMES, build_vocabulary, generate_vqa, generate_pretrain
@@ -13,7 +16,7 @@ from cmvqa.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from cmvqa.numerics import ShapeError
+from cmvqa.numerics import ShapeError, lstm_step
 
 TINY = dict(image_size=8, grid=2, c_v=8, d_q=8, d_emb=6, l_w=6)
 
@@ -105,8 +108,9 @@ class TestForward:
         assert pixel_logits.shape == (config.image_size, config.image_size, 2)
 
     @pytest.mark.parametrize("type_id", [0, 1, 2])
-    def test_task_head_width_matches_drawn_classes(self, corpus, type_id):
-        """The task head scores exactly the classes the generator draws."""
+    def test_task_head_width_matches_drawn_classes(self, corpus, type_id, monkeypatch):
+        """The task head scores exactly the classes the generator draws, in
+        both pretrain modes; single mode runs no question pathway."""
         config, vocab, _, _ = corpus
         samples = generate_pretrain(1, 40, config.data_config(), vocab)[type_id]["train"]
         drawn = set()
@@ -116,7 +120,15 @@ class TestForward:
         model = PretrainModel(config, vocab.size, type_id)
         task_logits, _ = model.forward(samples[0])
         assert task_logits.shape[-1] == len(drawn)
-        assert model.forward_task_only(samples[0]).shape[-1] == len(drawn)
+
+        lstm_calls = []
+        monkeypatch.setattr(question, "lstm_step",
+                            lambda *args: lstm_calls.append(args) or lstm_step(*args))
+        single = PretrainModel(replace(config, pretrain_mode="single"), vocab.size, type_id)
+        task_logits, com_logits = single.forward(samples[0])
+        assert task_logits.shape[-1] == len(drawn)
+        assert com_logits is None
+        assert lstm_calls == []
 
 
 class TestCheckpoints:

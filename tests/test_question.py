@@ -44,19 +44,18 @@ class TestVocabulary:
 
 class TestTokenizePad:
     def test_short_question(self, vocab):
-        ids, n = tokenize_pad(["are", "lungs", "normal"], vocab, 12)
-        assert len(ids) == 12 and n == 3
+        ids = tokenize_pad(["are", "lungs", "normal"], vocab, 12)
+        assert len(ids) == 12
         assert ids[3:] == [PAD_ID] * 9
         assert PAD_ID not in ids[:3]
 
     def test_trim_to_twelve(self, vocab):
-        ids, n = tokenize_pad(["are"] * 14, vocab, 12)
-        assert len(ids) == 12 and n == 12
+        ids = tokenize_pad(["are"] * 14, vocab, 12)
+        assert len(ids) == 12
         assert all(i == vocab.id_of("are") for i in ids)
 
     def test_empty_question(self, vocab):
-        ids, n = tokenize_pad([], vocab, 12)
-        assert ids == [PAD_ID] * 12 and n == 0
+        assert tokenize_pad([], vocab, 12) == [PAD_ID] * 12
 
 
 class TestEmbed:
@@ -113,36 +112,35 @@ class TestEncodeQuestion:
         lstm = init_lstm(gen, 6, 5, forget_bias=0.0)
         lstm.w.data[:] = 0.0
         lstm.b.data[:] = 0.0
-        out = encode_question(embed([PAD_ID] * 4, params), lstm, 0)
+        out = encode_question(embed([PAD_ID] * 4, params), lstm)
         assert np.allclose(out.q.data, np.zeros((4, 5)), atol=1e-15)
 
     def test_output_shape_fixed(self, gen, vocab):
         emb, lstm = init_question_encoder(Rng(5), vocab.size, 6, 64)
         for n_words in [0, 3, 6]:
-            ids, n = tokenize_pad(["are"] * n_words, vocab, 6)
-            out = encode_question(embed(ids, emb), lstm, n)
+            ids = tokenize_pad(["are"] * n_words, vocab, 6)
+            out = encode_question(embed(ids, emb), lstm)
             assert out.q.shape == (6, 64)
-            assert out.true_length == n
 
     def test_paper_scale_shape(self, vocab):
         emb, lstm = init_question_encoder(Rng(5), vocab.size, 400, 1024)
-        ids, n = tokenize_pad(["are", "lungs", "normal"], vocab, 12)
-        out = encode_question(embed(ids, emb), lstm, n)
+        ids = tokenize_pad(["are", "lungs", "normal"], vocab, 12)
+        out = encode_question(embed(ids, emb), lstm)
         assert out.q.shape == (12, 1024)
 
     def test_deterministic(self, vocab):
         def run():
             emb, lstm = init_question_encoder(Rng(9), vocab.size, 6, 8)
-            ids, n = tokenize_pad(["what", "shape"], vocab, 5)
-            return encode_question(embed(ids, emb), lstm, n).q.data.copy()
+            ids = tokenize_pad(["what", "shape"], vocab, 5)
+            return encode_question(embed(ids, emb), lstm).q.data.copy()
 
         assert np.array_equal(run(), run())
 
     def test_vocab_permutation_leaves_q_unchanged(self, gen, vocab):
         """Relabeling ids while permuting table rows identically is a no-op."""
         emb, lstm = init_question_encoder(Rng(9), vocab.size, 6, 8)
-        ids, n = tokenize_pad(["what", "shape", "in"], vocab, 5)
-        base = encode_question(embed(ids, emb), lstm, n).q.data.copy()
+        ids = tokenize_pad(["what", "shape", "in"], vocab, 5)
+        base = encode_question(embed(ids, emb), lstm).q.data.copy()
 
         # permute the non-reserved ids (keep pad/unk fixed so pad stays 0)
         perm = np.arange(vocab.size)
@@ -154,15 +152,15 @@ class TestEncodeQuestion:
             second=Tensor(emb.second.data[np.argsort(perm)]),
         )
         new_ids = [int(perm[i]) for i in ids]
-        out = encode_question(embed(new_ids, permuted), lstm, n).q.data
+        out = encode_question(embed(new_ids, permuted), lstm).q.data
         assert np.array_equal(out, base)
 
     def test_gradient_through_encoder(self, gen, vocab):
         emb, lstm = init_question_encoder(Rng(2), vocab.size, 4, 3)
-        ids, n = tokenize_pad(["are", "lungs"], vocab, 3)
+        ids = tokenize_pad(["are", "lungs"], vocab, 3)
 
         def objective():
-            out = encode_question(embed(ids, emb), lstm, n)
+            out = encode_question(embed(ids, emb), lstm)
             return sum_over_axes(out.q, (0, 1))
 
         report = grad_check(

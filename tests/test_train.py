@@ -1,6 +1,7 @@
 """Tests for the training loops, metrics logging, and evaluation."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ class TestVqaTraining:
 
         run_vqa_train(config, tmp_path / "run", invariant_monitor=monitor)
         assert len(seen) == config.steps * config.batch_size
+
+    def test_step_graphs_released_before_next_batch(self, tmp_path):
+        """No step's graphs are held while the next batch is built: at the
+        first forward of each step, at most one forward of the previous step
+        may still be alive."""
+        config = make_run(tmp_path)
+        refs, alive = [], []
+
+        def monitor(gate, state):
+            if refs and len(refs) % config.batch_size == 0:
+                alive.append(sum(r() is not None for r in refs[-config.batch_size:]))
+            refs.append(weakref.ref(gate.logits.data))   # Tensor has no weakref slot
+
+        run_vqa_train(config, tmp_path / "run", invariant_monitor=monitor)
+        assert len(alive) == config.steps - 1
+        assert max(alive) <= 1, alive
 
     def test_empty_train_split_raises(self, tmp_path):
         config = make_run(tmp_path)
