@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
-from .data import DataConfig
+from .data import PRETRAIN_SPLITS, DataConfig, split_sizes
 from .fusion import CmsaConfig
 
 
@@ -75,10 +75,9 @@ class RunConfig(DataConfig):
         )
 
     def validate(self) -> None:
-        if self.steps < 1 or self.pretrain_steps < 1:
-            raise ConfigError("step counts must be >= 1")
-        if self.batch_size < 1 or self.pretrain_batch < 1:
-            raise ConfigError("batch sizes must be >= 1")
+        for key in ("steps", "pretrain_steps", "batch_size", "pretrain_batch", "log_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not (0.0 < self.train_frac < 1.0) or not (0.0 <= self.val_frac < 1.0):
@@ -89,6 +88,15 @@ class RunConfig(DataConfig):
             raise ConfigError(f"pretrain_mode must be multi or single, got {self.pretrain_mode!r}")
         if self.eval_split not in ("train", "val", "test"):
             raise ConfigError(f"eval_split must be train/val/test, got {self.eval_split!r}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        # every split a run reads must draw at least one sample
+        for key, fractions, read in (("n_vqa", self.vqa_fractions(), {"train", self.eval_split}),
+                                     ("n_pretrain", PRETRAIN_SPLITS, {"train", "val"})):
+            n = getattr(self, key)
+            empty = " and ".join(sorted(s for s in read if not split_sizes(n, fractions)[s]))
+            if empty:
+                raise ConfigError(f"{key} = {n} leaves the {empty} split empty")
 
 
 def _coerce(key: str, raw: str, target_type) -> object:

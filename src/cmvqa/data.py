@@ -46,6 +46,13 @@ class DataConfig:
     train_frac: float = 0.7   # val_frac follows; test takes the remainder
     val_frac: float = 0.15
 
+    def vqa_fractions(self) -> Dict[str, float]:
+        return {"train": self.train_frac, "val": self.val_frac,
+                "test": 1.0 - self.train_frac - self.val_frac}
+
+
+PRETRAIN_SPLITS = {"train": 0.85, "val": 0.15}
+
 
 @dataclass
 class VqaSample:
@@ -138,18 +145,22 @@ def compatible_types(tokens: Sequence[str]) -> set:
 # -- split assignment ---------------------------------------------------------------
 
 
+def split_sizes(n: int, fractions: Dict[str, float]) -> Dict[str, int]:
+    """Each split but the last gets its rounded share of n; the last the rest."""
+    sizes = {name: int(round(n * share)) for name, share in list(fractions.items())[:-1]}
+    sizes[list(fractions)[-1]] = max(0, n - sum(sizes.values()))
+    return sizes
+
+
 def split_indices(n: int, fractions: Dict[str, float]) -> Dict[str, List[int]]:
     """Deterministic disjoint splits: order indices by a hash, slice exact counts."""
     ranked = sorted(
         range(n), key=lambda i: hashlib.sha256(f"split:{i}".encode()).hexdigest()
     )
     out, start = {}, 0
-    names = list(fractions)
-    for name in names[:-1]:
-        count = int(round(n * fractions[name]))
+    for name, count in split_sizes(n, fractions).items():
         out[name] = ranked[start : start + count]
         start += count
-    out[names[-1]] = ranked[start:]
     return out
 
 
@@ -186,10 +197,7 @@ def generate_vqa(seed: int, n: int, config: DataConfig,
                       answer_id=answer, type_id=type_id, question_kind=kind)
         )
 
-    test_frac = 1.0 - config.train_frac - config.val_frac
-    splits = split_indices(
-        n, {"train": config.train_frac, "val": config.val_frac, "test": test_frac}
-    )
+    splits = split_indices(n, config.vqa_fractions())
     return {name: [samples[i] for i in idx] for name, idx in splits.items()}
 
 
@@ -262,7 +270,7 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
                 PretrainSample(image=image, type_id=type_id, task_target=target,
                                paired_token_ids=ids, compat_label=label)
             )
-        splits = split_indices(n_per_type, {"train": 0.85, "val": 0.15})
+        splits = split_indices(n_per_type, PRETRAIN_SPLITS)
         out[type_id] = {name: [samples[i] for i in idx] for name, idx in splits.items()}
     return out
 

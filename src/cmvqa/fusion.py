@@ -6,11 +6,15 @@ attends with A = softmax_rows(Q K^T) over all N = L_w*G*G positions, and
 maps A V back to the F width.  A single residual from the original F feeds
 the mean-pool over the grid, and a final affine map produces one D_q row
 per word.
+
+The fuse never builds F: glimpse 0 maps its factors (v, s, q) directly, the
+residual's grid mean is [mean v | mean s | q_i], and ``CmsaState.f`` is lazy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -24,6 +28,7 @@ from .numerics import (
     concat_last,
     matmul,
     mean_over_axes,
+    multimodal_channel_map,
     pointwise_channel_map,
     reshape,
     scale,
@@ -86,13 +91,17 @@ class CmsaParams:
 class CmsaState:
     """Intermediate values of one fuse pass, inspectable by tests."""
 
-    f: Tensor
-    q: List[Tensor]
-    k: List[Tensor]
-    v: List[Tensor]
-    a: List[Tensor]
-    f_prime: Tensor
-    f_hat: Tensor
+    inputs: tuple = None  # (v, s, q, config) of the fuse; f builds F from them
+    q: List[Tensor] = field(default_factory=list)
+    k: List[Tensor] = field(default_factory=list)
+    v: List[Tensor] = field(default_factory=list)
+    a: List[Tensor] = field(default_factory=list)
+    f_prime: Tensor = None
+    f_hat: Tensor = None
+
+    @property
+    def f(self) -> Tensor:
+        return build_multimodal_map(*self.inputs)
 
 
 def init_cmsa(gen, config: CmsaConfig) -> CmsaParams:
@@ -116,34 +125,40 @@ def init_cmsa(gen, config: CmsaConfig) -> CmsaParams:
     return CmsaParams(glimpses=glimpses, proj_w=proj_w, proj_b=proj_b)
 
 
+def _check_factors(v: Tensor, s: Tensor, q: Tensor, config: CmsaConfig) -> None:
+    g = config.g
+    want = ((g, g, config.c_v), (g, g, 8), (config.l_w, config.d_q))
+    if (v.shape, s.shape, q.shape) != want:
+        raise ShapeError(f"visual, spatial and word factors {v.shape}, {s.shape}, "
+                         f"{q.shape}; expected {want}")
+
+
 def build_multimodal_map(v: Tensor, s: Tensor, q: QuestionEmbedding,
                          config: CmsaConfig) -> Tensor:
     """F[i, r, c, :] = concat(v[r,c], s[r,c], q[i])."""
-    g, c_v, l_w, d_q = config.g, config.c_v, config.l_w, config.d_q
-    if v.shape != (g, g, c_v):
-        raise ShapeError(f"visual features {v.shape}, expected {(g, g, c_v)}")
-    if s.shape != (g, g, 8):
-        raise ShapeError(f"spatial map {s.shape}, expected {(g, g, 8)}")
-    if q.q.shape != (l_w, d_q):
-        raise ShapeError(f"question embedding {q.q.shape}, expected {(l_w, d_q)}")
-
-    v_tile = broadcast_to(reshape(v, (1, g, g, c_v)), (l_w, g, g, c_v))
-    s_tile = broadcast_to(reshape(s, (1, g, g, 8)), (l_w, g, g, 8))
-    q_tile = broadcast_to(reshape(q.q, (l_w, 1, 1, d_q)), (l_w, g, g, d_q))
-    return concat_last([v_tile, s_tile, q_tile])
+    _check_factors(v, s, q.q, config)
+    l_w, g, d_q = config.l_w, config.g, config.d_q
+    return concat_last([broadcast_to(v, (l_w, g, g, config.c_v)), broadcast_to(s, (l_w, g, g, 8)),
+                        broadcast_to(reshape(q.q, (l_w, 1, 1, d_q)), (l_w, g, g, d_q))])
 
 
-def self_attention_pass(f_in: Tensor, params: GlimpseParams, config: CmsaConfig,
+def self_attention_pass(f_in: Tensor | tuple, params: GlimpseParams, config: CmsaConfig,
                         collect: CmsaState = None) -> Tensor:
-    """One glimpse: Q/K/V maps, row-softmax attention over all positions, map back."""
+    """One glimpse over an (L_w, G, G, D_f) map or over F's factor triple
+    (v, s, q): Q/K/V maps, row-softmax attention over all positions, map back."""
     l_w, g, d_f, qkv = config.l_w, config.g, config.d_f, config.qkv_channels
     n = config.n_positions
-    if f_in.shape != (l_w, g, g, d_f):
-        raise ShapeError(f"F {f_in.shape}, expected {(l_w, g, g, d_f)}")
+    if isinstance(f_in, tuple):
+        _check_factors(*f_in, config)
+        channel_map = partial(multimodal_channel_map, concat_last(f_in[:2]), f_in[2])
+    else:
+        if f_in.shape != (l_w, g, g, d_f):
+            raise ShapeError(f"F {f_in.shape}, expected {(l_w, g, g, d_f)}")
+        channel_map = partial(pointwise_channel_map, reshape(f_in, (n, d_f)))
 
-    q = reshape(pointwise_channel_map(f_in, params.q_w, params.q_b), (n, qkv))
-    k = reshape(pointwise_channel_map(f_in, params.k_w, params.k_b), (n, qkv))
-    v = reshape(pointwise_channel_map(f_in, params.v_w, params.v_b), (n, qkv))
+    q = channel_map(params.q_w, params.q_b)
+    k = channel_map(params.k_w, params.k_b)
+    v = channel_map(params.v_w, params.v_b)
 
     try:
         logits = matmul(q, transpose2d(k))
@@ -168,15 +183,15 @@ def self_attention_pass(f_in: Tensor, params: GlimpseParams, config: CmsaConfig,
 def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,
               config: CmsaConfig):
     """Full fusion: glimpses in sequence, one residual from F, mean-pool, project."""
-    f = build_multimodal_map(v, s, q, config)
-    state = CmsaState(f=f, q=[], k=[], v=[], a=[], f_prime=None, f_hat=None)
-
-    current = f
+    state = CmsaState(inputs=(v, s, q, config))
+    f_prime = (v, s, q.q)
     for glimpse in params.glimpses:
-        current = self_attention_pass(current, glimpse, config, collect=state)
-    f_prime = current
+        f_prime = self_attention_pass(f_prime, glimpse, config, collect=state)
 
-    pooled = mean_over_axes(add(f_prime, f), (1, 2))          # (L_w, D_f)
+    # mean over the grid of F is [mean v | mean s | q_i] for word i
+    grid_mean = mean_over_axes(concat_last([v, s]), (0, 1))
+    f_mean = concat_last([broadcast_to(grid_mean, (config.l_w, config.c_v + 8)), q.q])
+    pooled = add(mean_over_axes(f_prime, (1, 2)), f_mean)     # (L_w, D_f)
     f_hat = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
 
     state.f_prime = f_prime

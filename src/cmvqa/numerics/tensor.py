@@ -240,14 +240,39 @@ def pointwise_channel_map(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.shape != (c_out,):
         raise ShapeError(f"pointwise_channel_map bias must be ({c_out},), got {bias.shape}")
-    data = np.matmul(x.data, weight.data) + bias.data
+    # rank >= 3 runs as one 2-D GEMM, not np.matmul's one GEMM per leading index
+    x2 = x.data if x.data.ndim <= 2 else x.data.reshape(-1, c_in)
+    data = (x2 @ weight.data + bias.data).reshape(x.shape[:-1] + (c_out,))
 
     def back(g: np.ndarray):
         g2 = g.reshape(-1, c_out)
-        x2 = x.data.reshape(-1, c_in)
-        return g @ weight.data.T, x2.T @ g2, g2.sum(axis=0)
+        gx = g.reshape(x2.shape[:-1] + (c_out,)) @ weight.data.T
+        return gx.reshape(x.shape), x.data.reshape(-1, c_in).T @ g2, g2.sum(axis=0)
 
     return _node(data, (x, weight, bias), back, "pointwise_channel_map")
+
+
+def multimodal_channel_map(grid: Tensor, words: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """pointwise_channel_map over F[i, r, c] = [grid[r, c] | words[i]] as an
+    (L * G * G, C_out) matrix in (i, r, c) row order, without building F: the
+    grid (G, G, C_g) and the words (L, D) are mapped by their rows of the weight
+    and added, and the backward takes row and column sums of the gradient."""
+    if grid.data.ndim != 3 or words.data.ndim != 2 or weight.data.ndim != 2 or \
+            weight.shape[0] != grid.shape[2] + words.shape[1] or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"multimodal_channel_map shapes: grid {grid.shape}, words "
+                         f"{words.shape}, weight {weight.shape}, bias {bias.shape}")
+    k, l_w, c_out = grid.shape[2], words.shape[0], weight.shape[1]
+    cells = grid.data.reshape(-1, k)
+    w_grid, w_word = weight.data[:k], weight.data[k:]
+    data = ((words.data @ w_word + bias.data)[:, None] + cells @ w_grid).reshape(-1, c_out)
+
+    def back(g: np.ndarray):
+        g3 = g.reshape(l_w, -1, c_out)
+        g_cell, g_word = g3.sum(axis=0), g3.sum(axis=1)
+        gw = np.concatenate([cells.T @ g_cell, words.data.T @ g_word])
+        return (g_cell @ w_grid.T).reshape(grid.shape), g_word @ w_word.T, gw, g_word.sum(axis=0)
+
+    return _node(data, (grid, words, weight, bias), back, "multimodal_channel_map")
 
 
 # -- shape plumbing ----------------------------------------------------------

@@ -168,7 +168,7 @@ def test_criterion02_attention_oracle_equivalence(capfd):
         assert config.n_positions <= 16
         params = init_cmsa(rng, config).glimpses[0]
         f_map = Tensor(rng.standard_normal((l_w, g, g, config.d_f)))
-        state = CmsaState(f=f_map, q=[], k=[], v=[], a=[], f_prime=None, f_hat=None)
+        state = CmsaState()
         out = self_attention_pass(f_map, params, config, collect=state)
         ref_out, ref_a = attention_loop_oracle(f_map.data, params, config)
         worst = max(worst,

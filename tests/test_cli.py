@@ -151,6 +151,26 @@ class TestErrors:
             assert captured.out == ""
             assert not out.exists()
 
+    @pytest.mark.parametrize("edit, named", [
+        (("n_pretrain = 8", "n_pretrain = 3"), "n_pretrain = 3 leaves the val split empty"),
+        (("n_vqa = 24", "n_vqa = 1"), "n_vqa = 1 leaves the test split empty"),
+        (("log_every = 2", "log_every = 0"), "log_every must be >= 1"),
+        (("steps = 4", "steps = 4\nlr = nan"), "lr must be finite and > 0"),
+        (("steps = 4", "steps = 4\nlr = -1"), "lr must be finite and > 0"),
+    ], ids=["empty-pretrain-val", "empty-vqa-test", "log-every-0", "lr-nan", "lr-negative"])
+    def test_unworkable_value_rejected_before_output(self, workspace, tmp_path, capsys,
+                                                     edit, named):
+        root, cfg = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text().replace(*edit))
+        for command in ("gen-data", "pretrain", "train", "eval"):
+            out = tmp_path / command
+            assert main([command, "--config", str(bad), "--out", str(out),
+                         "--init", str(root / "any.cmtb")]) == 2
+            captured = capsys.readouterr()
+            assert named in captured.err and captured.out == ""
+            assert not out.exists()
+
     def test_train_without_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "missing"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmvqa import fusion
 from cmvqa.fusion import (
     CmsaConfig,
     CmsaState,
@@ -89,7 +90,7 @@ class TestSelfAttentionPass:
         params.k_w.data[:] = 0.0
         f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f))
 
-        state = CmsaState(f=None, q=[], k=[], v=[], a=[], f_prime=None, f_hat=None)
+        state = CmsaState()
         out = self_attention_pass(Tensor(f), params, config, collect=state).data
         n = config.n_positions
         a = state.a[0].data
@@ -121,7 +122,7 @@ class TestSelfAttentionPass:
     def test_row_stochastic_attention(self, gen):
         config = small_config(glimpses=1)
         params = init_cmsa(Rng(3).gen, config).glimpses[0]
-        state = CmsaState(f=None, q=[], k=[], v=[], a=[], f_prime=None, f_hat=None)
+        state = CmsaState()
         f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f)) * 3
         self_attention_pass(Tensor(f), params, config, collect=state)
         a = state.a[0].data
@@ -227,6 +228,29 @@ class TestCmsaFuse:
                 [v.data.mean(axis=(0, 1)), s.data.mean(axis=(0, 1)), q.q.data[i]]
             )
             assert np.abs(pooled[i] - expected).max() < 1e-12
+
+    def test_fuse_and_backward_never_build_f(self, gen, monkeypatch):
+        config = small_config(glimpses=2)
+        params = init_cmsa(Rng(11).gen, config)
+        v, s, q = random_inputs(gen, config)
+        v.requires_grad = q.q.requires_grad = True
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_multimodal_map called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, "build_multimodal_map", refuse)
+            f_hat, state = cmsa_fuse(v, s, q, params, config)
+            sum_over_axes(f_hat, (0, 1)).backward()
+        assert v.grad is not None and q.q.grad is not None
+
+        g, l_w = config.g, config.l_w
+        oracle = np.concatenate([
+            np.broadcast_to(v.data, (l_w, g, g, config.c_v)),
+            np.broadcast_to(s.data, (l_w, g, g, 8)),
+            np.broadcast_to(q.q.data[:, None, None, :], (l_w, g, g, config.d_q)),
+        ], axis=-1)
+        assert np.array_equal(state.f.data, oracle)
 
     def test_output_shape_paper_dims(self):
         config = CmsaConfig(l_w=12, g=7, c_v=512, d_q=1024, glimpses=1)

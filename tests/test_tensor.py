@@ -18,6 +18,7 @@ from cmvqa.numerics import (
     matmul,
     mean_over_axes,
     mul,
+    multimodal_channel_map,
     pointwise_channel_map,
     relu,
     reshape,
@@ -180,6 +181,59 @@ class TestPointwiseChannelMap:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel mismatch"):
             pointwise_channel_map(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
+def _forward_and_grads(build, inputs, out_grad):
+    """Forward value and every input's gradient of sum(build(*inputs) * out_grad)."""
+    tensors = [Tensor(x, requires_grad=True) for x in inputs]
+    out = build(*tensors)
+    sum_over_axes(mul(out, Tensor(out_grad.reshape(out.shape))), tuple(range(out.data.ndim))).backward()
+    return [out.data.reshape(out_grad.shape)] + [t.grad for t in tensors]
+
+
+def _assert_close(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= tol
+
+
+@pytest.mark.parametrize("l_w, g", [(1, 1), (1, 3), (4, 1), (3, 2)])
+def test_multimodal_channel_map_matches_map_over_built_f(gen, l_w, g):
+    from cmvqa.fusion import CmsaConfig, build_multimodal_map
+    from cmvqa.question import QuestionEmbedding
+
+    config = CmsaConfig(l_w=l_w, g=g, c_v=3, d_q=5, glimpses=1)
+    inputs = [gen.standard_normal((g, g, 3)), gen.standard_normal((g, g, 8)),
+              gen.standard_normal((l_w, 5)), gen.standard_normal((config.d_f, 4)),
+              gen.standard_normal(4)]
+    out_grad = gen.standard_normal((config.n_positions, 4))
+
+    def factorized(v, s, q, w, b):
+        return multimodal_channel_map(concat_last([v, s]), q, w, b)
+
+    def oracle(v, s, q, w, b):
+        f = build_multimodal_map(v, s, QuestionEmbedding(q=q), config)
+        return pointwise_channel_map(f, w, b)
+
+    _assert_close(_forward_and_grads(factorized, inputs, out_grad),
+                  _forward_and_grads(oracle, inputs, out_grad))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (2, 3, 4), (1, 2, 2, 3), (3, 2, 1, 5)])
+def test_pointwise_channel_map_matches_matmul_reference(gen, shape):
+    x, w, b = gen.standard_normal(shape), gen.standard_normal((shape[-1], 6)), gen.standard_normal(6)
+    out_grad = gen.standard_normal(shape[:-1] + (6,))
+    lead = list(range(len(shape) - 1))
+    reference = [np.matmul(x, w) + b, np.matmul(out_grad, w.T),
+                 np.tensordot(x, out_grad, axes=(lead, lead)), out_grad.reshape(-1, 6).sum(axis=0)]
+    _assert_close(_forward_and_grads(pointwise_channel_map, [x, w, b], out_grad), reference)
+
+
+def test_multimodal_channel_map_rejects_mismatched_shapes():
+    grid, words = Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 2)))
+    with pytest.raises(ShapeError, match="multimodal_channel_map"):
+        multimodal_channel_map(grid, words, Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
 
 
 # -- cross entropy --------------------------------------------------------------
@@ -354,6 +408,8 @@ OP_CASES = {
     "sum_over_axes": lambda p, g: sum_over_axes(p["a"], (0,)),
     "softmax_rows": lambda p, g: softmax_rows(p["m1"]),
     "pointwise_channel_map": lambda p, g: pointwise_channel_map(p["x3"], p["w"], p["bias"]),
+    "multimodal_channel_map": lambda p, g: multimodal_channel_map(p["grid"], p["words"], p["mw"],
+                                                                  p["bias"]),
     "cross_entropy": lambda p, g: cross_entropy(p["logits"], 1),
     "conv2d": lambda p, g: conv2d(p["img"], p["kern"], p["kb"], stride=2, padding=1),
     "upsample_nearest": lambda p, g: upsample_nearest(p["img"], 3),
@@ -374,6 +430,9 @@ def _op_inputs(gen) -> dict:
         "img": Tensor(gen.standard_normal((4, 4, 2)), requires_grad=True),
         "kern": Tensor(gen.standard_normal((3, 3, 2, 2)) * 0.5, requires_grad=True),
         "kb": Tensor(gen.standard_normal(2), requires_grad=True),
+        "grid": Tensor(gen.standard_normal((2, 2, 5)), requires_grad=True),
+        "words": Tensor(gen.standard_normal((3, 2)), requires_grad=True),
+        "mw": Tensor(gen.standard_normal((7, 4)), requires_grad=True),
     }
 
 
@@ -426,6 +485,7 @@ def _touches(op_name: str, key: str) -> bool:
         "sum_over_axes": {"a"},
         "softmax_rows": {"m1"},
         "pointwise_channel_map": {"x3", "w", "bias"},
+        "multimodal_channel_map": {"grid", "words", "mw", "bias"},
         "cross_entropy": {"logits"},
         "conv2d": {"img", "kern", "kb"},
         "upsample_nearest": {"img"},
