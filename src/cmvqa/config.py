@@ -75,9 +75,19 @@ class RunConfig(DataConfig):
         )
 
     def validate(self) -> None:
-        for key in ("steps", "pretrain_steps", "batch_size", "pretrain_batch", "log_every"):
+        for key in ("steps", "pretrain_steps", "batch_size", "pretrain_batch", "log_every",
+                    "image_size", "grid", "c_v", "d_q", "l_w", "glimpses"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.d_emb < 2:
+            raise ConfigError(f"d_emb must be >= 2, one column per embedding half, got {self.d_emb}")
+        # the backbone reaches the grid by stride-2 layers, at least one
+        ratio, rest = divmod(self.image_size, self.grid)
+        if rest or ratio < 2 or ratio & (ratio - 1):
+            raise ConfigError(f"image_size / grid must be a power of two >= 2, got "
+                              f"image_size = {self.image_size}, grid = {self.grid}")
+        if not 0.0 <= self.noise < float("inf"):
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not (0.0 < self.train_frac < 1.0) or not (0.0 <= self.val_frac < 1.0):

@@ -190,13 +190,17 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu")
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The two-branch logistic function, overflow-free for any finite x."""
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each element
     # gets the same exp and the same division as the two-branch formula.
-    x = a.data
     z = np.exp(-np.abs(x))
     d = 1.0 + z
-    out = np.where(x >= 0, 1.0 / d, z / d)
+    return np.where(x >= 0, 1.0 / d, z / d)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = logistic(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -314,13 +318,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     return _node(data, (a,), back, "slice_last")
 
 
-def stack_rows(rows_: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors into a matrix, one per row."""
-    rows_ = tuple(rows_)
-    data = np.stack([r.data for r in rows_], axis=0)
-    return _node(data, rows_, lambda g: tuple(g[i] for i in range(len(rows_))), "stack_rows")
-
-
 def rows(table: Tensor, ids, zero_id: int | None = None) -> Tensor:
     """Gather rows of `table` along axis 0.
 
@@ -367,10 +364,11 @@ def _check_axes(a: Tensor, axes) -> tuple[int, ...]:
 def mean_over_axes(a: Tensor, axes) -> Tensor:
     """Arithmetic mean over the named axes; gradient spreads 1/count to each element."""
     axes = _check_axes(a, axes)
-    data = a.data.mean(axis=axes)
     count = 1
     for ax in axes:
         count *= a.shape[ax]
+    # the reduce and divide ndarray.mean runs, without its Python frame
+    data = np.add.reduce(a.data, axis=axes) / count
     kept = tuple(1 if i in axes else n for i, n in enumerate(a.shape))
 
     def back(g: np.ndarray):
@@ -490,6 +488,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: in
         g2 = g.reshape(ho * wo, c_out)
         gw = (patches.T @ g2).reshape(weight.shape)
         gb = g2.sum(axis=0)
+        if not x.requires_grad:  # a raw image: skip the input-gradient GEMM and col2im
+            return None, gw, gb
         gcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, c_in)
         gxp = np.zeros_like(xp)
         for i in range(kh):

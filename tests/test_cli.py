@@ -157,7 +157,18 @@ class TestErrors:
         (("log_every = 2", "log_every = 0"), "log_every must be >= 1"),
         (("steps = 4", "steps = 4\nlr = nan"), "lr must be finite and > 0"),
         (("steps = 4", "steps = 4\nlr = -1"), "lr must be finite and > 0"),
-    ], ids=["empty-pretrain-val", "empty-vqa-test", "log-every-0", "lr-nan", "lr-negative"])
+        (("d_q = 8", "d_q = 0"), "d_q must be >= 1"),
+        (("c_v = 8", "c_v = 0"), "c_v must be >= 1"),
+        (("l_w = 6", "l_w = 0"), "l_w must be >= 1"),
+        (("d_emb = 6", "d_emb = 1"), "d_emb must be >= 2"),
+        (("grid = 2", "grid = 3"), "image_size / grid must be a power of two >= 2"),
+        (("image_size = 8", "image_size = 7"), "image_size / grid must be a power of two >= 2"),
+        (("image_size = 8", "image_size = 2"), "image_size / grid must be a power of two >= 2"),
+        (("steps = 4", "steps = 4\nglimpses = 0"), "glimpses must be >= 1"),
+        (("steps = 4", "steps = 4\nnoise = -1"), "noise must be finite and >= 0"),
+    ], ids=["empty-pretrain-val", "empty-vqa-test", "log-every-0", "lr-nan", "lr-negative",
+            "d-q-0", "c-v-0", "l-w-0", "d-emb-1", "grid-3", "image-size-7", "image-size-is-grid",
+            "glimpses-0", "noise-negative"])
     def test_unworkable_value_rejected_before_output(self, workspace, tmp_path, capsys,
                                                      edit, named):
         root, cfg = workspace

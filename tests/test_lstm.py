@@ -1,16 +1,21 @@
-"""LSTM step tests."""
+"""LSTM tests: the single-step cell, and the sequence op against it."""
 
 import numpy as np
 import pytest
 
 from cmvqa.numerics import (
+    NonFiniteError,
     ShapeError,
     Tensor,
     add,
+    concat_last,
     grad_check,
     init_lstm,
+    lstm_sequence,
     lstm_step,
     mul,
+    reshape,
+    rows,
     sum_over_axes,
 )
 
@@ -94,3 +99,61 @@ def test_two_steps_chain_gradient(gen):
 
     report = grad_check(objective, {"x1": x1, "w": params.w}, h=1e-5, tol=1e-4)
     assert report.passed, report.summary()
+
+
+def _step_graph_loss(xs: Tensor, params, coeffs: np.ndarray):
+    """sum_t <h_t, coeffs[t]> over a graph of lstm_step calls, each input row
+    gathered by `rows`: the per-step graph lstm_sequence reproduces."""
+    d_h = params.hidden_size
+    h, c = Tensor(np.zeros(d_h)), Tensor(np.zeros(d_h))
+    loss, hs = None, []
+    for t in range(xs.shape[0]):
+        h, c = lstm_step(reshape(rows(xs, [t]), (xs.shape[1],)), h, c, params)
+        hs.append(h.data)
+        term = sum_over_axes(mul(h, Tensor(coeffs[t])), (0,))
+        loss = term if loss is None else add(loss, term)
+    return loss, np.stack(hs)
+
+
+def _sequence_loss(xs: Tensor, params, coeffs: np.ndarray):
+    hidden = lstm_sequence(xs, params)
+    return sum_over_axes(mul(hidden, Tensor(coeffs)), (0, 1)), hidden.data
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("l_w, d_in, d_h", [(6, 16, 32), (3, 6, 8), (5, 3, 7), (1, 4, 3)])
+def test_sequence_bit_identical_to_step_graph(batch, l_w, d_in, d_h):
+    """H and every gradient, with the parameters shared by `batch` sequences
+    whose losses are summed, as a training batch shares them."""
+    results = []
+    for build in (_step_graph_loss, _sequence_loss):
+        gen = np.random.default_rng(31 * l_w + batch)
+        params = init_lstm(gen, d_in, d_h)
+        params.w.data *= 3.0  # reach the saturated ends of the gates too
+        tables = [Tensor(gen.standard_normal((l_w, d_in)), requires_grad=True)
+                  for _ in range(batch)]
+        tables[-1].data[-1] = 0.0  # a pad row
+        total, hidden = None, []
+        for table in tables:
+            # a non-leaf input, as the embedding concat is in the model
+            loss, h = build(concat_last([table]), params, gen.standard_normal((l_w, d_h)))
+            total = loss if total is None else add(total, loss)
+            hidden.append(h)
+        total.backward()
+        results.append([h.tobytes() for h in hidden] + [t.grad.tobytes() for t in tables]
+                       + [params.w.grad.tobytes(), params.b.grad.tobytes()])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 5), (3,)])
+def test_sequence_rejects_wrong_input_shape(gen, shape):
+    params = init_lstm(gen, 3, 4)
+    with pytest.raises(ShapeError, match="lstm_sequence"):
+        lstm_sequence(Tensor(np.zeros(shape)), params)
+
+
+def test_sequence_names_itself_on_overflow(gen):
+    params = init_lstm(gen, 3, 4)
+    params.w.data[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="lstm_sequence"):
+        lstm_sequence(Tensor(np.ones((2, 3))), params)

@@ -1,13 +1,14 @@
 """Tests for model assembly, parameter registries, and checkpoints."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmvqa import question
 from cmvqa.bundle import write_bundle
-from cmvqa.config import RunConfig
+from cmvqa.config import RunConfig, load_config
 from cmvqa.data import TYPE_NAMES, build_vocabulary, generate_vqa, generate_pretrain
 from cmvqa.model import (
     PretrainModel,
@@ -16,7 +17,8 @@ from cmvqa.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from cmvqa.numerics import ShapeError, lstm_step
+from cmvqa.numerics import ShapeError, lstm_sequence
+from cmvqa.numerics import lstm as lstm_module, tensor as tensor_module
 
 TINY = dict(image_size=8, grid=2, c_v=8, d_q=8, d_emb=6, l_w=6)
 
@@ -122,13 +124,41 @@ class TestForward:
         assert task_logits.shape[-1] == len(drawn)
 
         lstm_calls = []
-        monkeypatch.setattr(question, "lstm_step",
-                            lambda *args: lstm_calls.append(args) or lstm_step(*args))
+        monkeypatch.setattr(question, "lstm_sequence",
+                            lambda *args: lstm_calls.append(args) or lstm_sequence(*args))
         single = PretrainModel(replace(config, pretrain_mode="single"), vocab.size, type_id)
         task_logits, com_logits = single.forward(samples[0])
         assert task_logits.shape[-1] == len(drawn)
         assert com_logits is None
         assert lstm_calls == []
+        model.forward(samples[0])
+        assert len(lstm_calls) == 1  # the patch sees the multi-mode question pathway
+
+    def test_desk_forward_node_count(self, monkeypatch):
+        """Op nodes one forward builds at desk.cfg dimensions: the question
+        LSTM is one node, not 17 per word."""
+        config = load_config(Path(__file__).parents[1] / "configs" / "desk.cfg")
+        dc = config.data_config()
+        vocab = build_vocabulary(dc)
+        built = []
+        node = tensor_module._node
+
+        def counting(*args):
+            built.append(args[-1])
+            return node(*args)
+
+        for module in (tensor_module, lstm_module):
+            monkeypatch.setattr(module, "_node", counting)
+        VqaModel(config, vocab.size).forward(generate_vqa(0, 4, dc, vocab)["train"][0])
+        counts = [len(built)]
+        pretrain = generate_pretrain(0, 4, dc, vocab)
+        for type_id in range(len(TYPE_NAMES)):
+            model = PretrainModel(config, vocab.size, type_id)
+            built.clear()
+            model.forward(pretrain[type_id]["train"][0])
+            counts.append(len(built))
+        assert counts == [72, 36, 38, 38]
+        assert built.count("lstm_sequence") == 1
 
 
 class TestCheckpoints:

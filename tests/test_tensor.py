@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmvqa.numerics import (
+    LstmParams,
     NonFiniteError,
     ShapeError,
     Tensor,
@@ -15,6 +16,7 @@ from cmvqa.numerics import (
     conv2d,
     cross_entropy,
     grad_check,
+    lstm_sequence,
     matmul,
     mean_over_axes,
     mul,
@@ -27,7 +29,6 @@ from cmvqa.numerics import (
     sigmoid,
     slice_last,
     softmax_rows,
-    stack_rows,
     sum_over_axes,
     tanh,
     transpose2d,
@@ -297,6 +298,14 @@ class TestMeanOverAxes:
             out = mean_over_axes(Tensor(x), axes).data
             assert np.abs(out - mean_oracle(x, axes)).max() < 1e-12
 
+    @pytest.mark.parametrize("shape, axes", [((3, 2, 2, 24), (1, 2)), ((6, 4, 4, 32), (1, 2)),
+                                             ((4, 4, 32), (0, 1)), ((12, 7, 7, 1544), (1, 2)),
+                                             ((4, 6), (0, 1))])
+    def test_bit_identical_to_ndarray_mean(self, gen, shape, axes):
+        x = gen.standard_normal(shape)
+        out = mean_over_axes(Tensor(x), axes).data
+        assert np.asarray(out).tobytes() == np.asarray(x.mean(axis=axes)).tobytes()
+
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
             mean_over_axes(Tensor(np.zeros((2, 2))), (2,))
@@ -374,12 +383,6 @@ class TestPlumbingOps:
         with pytest.raises(ShapeError, match="fewer axes"):
             broadcast_to(Tensor(np.zeros((1, 1, 3))), (3,))
 
-    def test_stack_rows(self, gen):
-        parts = [Tensor(gen.standard_normal(3)) for _ in range(4)]
-        out = stack_rows(parts)
-        assert out.shape == (4, 3)
-        assert np.array_equal(out.data[2], parts[2].data)
-
 
 # -- grad check over every differentiable op -----------------------------------
 
@@ -413,6 +416,7 @@ OP_CASES = {
     "cross_entropy": lambda p, g: cross_entropy(p["logits"], 1),
     "conv2d": lambda p, g: conv2d(p["img"], p["kern"], p["kb"], stride=2, padding=1),
     "upsample_nearest": lambda p, g: upsample_nearest(p["img"], 3),
+    "lstm_sequence": lambda p, g: lstm_sequence(p["seq"], LstmParams(w=p["lstm_w"], b=p["lstm_b"])),
 }
 
 
@@ -433,6 +437,10 @@ def _op_inputs(gen) -> dict:
         "grid": Tensor(gen.standard_normal((2, 2, 5)), requires_grad=True),
         "words": Tensor(gen.standard_normal((3, 2)), requires_grad=True),
         "mw": Tensor(gen.standard_normal((7, 4)), requires_grad=True),
+        # drawn after the keys above, so their values stay as they were
+        "seq": Tensor(gen.standard_normal((4, 2)), requires_grad=True),
+        "lstm_w": Tensor(gen.standard_normal((5, 12)) * 0.5, requires_grad=True),
+        "lstm_b": Tensor(gen.standard_normal(12), requires_grad=True),
     }
 
 
@@ -489,6 +497,7 @@ def _touches(op_name: str, key: str) -> bool:
         "cross_entropy": {"logits"},
         "conv2d": {"img", "kern", "kb"},
         "upsample_nearest": {"img"},
+        "lstm_sequence": {"seq", "lstm_w", "lstm_b"},
     }
     return key in needed[op_name]
 
@@ -572,6 +581,22 @@ def test_conv2d_bit_identical_to_pad_reference(gen, shape, stride, padding):
     for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_conv2d_skips_input_gradient_of_constant_input():
+    """An input that needs no gradient (the raw image) gets None, and the
+    weight and bias gradients are the same bits as with a tracked input."""
+    grads = []
+    for tracked in (True, False):
+        gen = np.random.default_rng(5)
+        x = Tensor(gen.standard_normal((8, 8, 1)), requires_grad=tracked)
+        w = Tensor(gen.standard_normal((3, 3, 1, 4)), requires_grad=True)
+        b = Tensor(gen.standard_normal(4), requires_grad=True)
+        out = conv2d(x, w, b)
+        gx, gw, gb = out._backward(np.ones(out.shape))
+        assert (gx is None) == (not tracked)
+        grads.append((gw.tobytes(), gb.tobytes()))
+    assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
