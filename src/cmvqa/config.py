@@ -86,20 +86,22 @@ class RunConfig(DataConfig):
         if rest or ratio < 2 or ratio & (ratio - 1):
             raise ConfigError(f"image_size / grid must be a power of two >= 2, got "
                               f"image_size = {self.image_size}, grid = {self.grid}")
-        if not 0.0 <= self.noise < float("inf"):
-            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not (0.0 < self.train_frac < 1.0) or not (0.0 <= self.val_frac < 1.0):
-            raise ConfigError("split fractions must lie in (0, 1)")
+        # every float key: NaN fails each comparison, so it is rejected with its key
+        inf = float("inf")
+        for key, ok, want in (("lr", 0.0 < self.lr < inf, "finite and > 0"),
+                              ("alpha", 0.0 <= self.alpha < inf, "finite and >= 0"),
+                              ("noise", 0.0 <= self.noise < inf, "finite and >= 0"),
+                              ("shape_gain", -inf < self.shape_gain < inf, "finite"),
+                              ("train_frac", 0.0 < self.train_frac < 1.0, "in (0, 1)"),
+                              ("val_frac", 0.0 <= self.val_frac < 1.0, "in [0, 1)")):
+            if not ok:
+                raise ConfigError(f"{key} must be {want}, got {getattr(self, key)}")
         if self.train_frac + self.val_frac >= 1.0:
             raise ConfigError("train_frac + val_frac must leave room for a test split")
         if self.pretrain_mode not in ("multi", "single"):
             raise ConfigError(f"pretrain_mode must be multi or single, got {self.pretrain_mode!r}")
         if self.eval_split not in ("train", "val", "test"):
             raise ConfigError(f"eval_split must be train/val/test, got {self.eval_split!r}")
-        if not 0.0 < self.lr < float("inf"):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         # every split a run reads must draw at least one sample
         for key, fractions, read in (("n_vqa", self.vqa_fractions(), {"train", self.eval_split}),
                                      ("n_pretrain", PRETRAIN_SPLITS, {"train", "val"})):

@@ -9,6 +9,9 @@ per word.
 
 The fuse never builds F: glimpse 0 maps its factors (v, s, q) directly, the
 residual's grid mean is [mean v | mean s | q_i], and ``CmsaState.f`` is lazy.
+Only the grid mean of the last glimpse's output is read, so that glimpse runs
+pooled: its attention rows are averaged over each word's grid cells before
+they meet V, and V's map and the out map act on those L_w rows.
 """
 
 from __future__ import annotations
@@ -94,9 +97,9 @@ class CmsaState:
     inputs: tuple = None  # (v, s, q, config) of the fuse; f builds F from them
     q: List[Tensor] = field(default_factory=list)
     k: List[Tensor] = field(default_factory=list)
-    v: List[Tensor] = field(default_factory=list)
-    a: List[Tensor] = field(default_factory=list)
-    f_prime: Tensor = None
+    v: List[Tensor] = field(default_factory=list)  # (N, qkv), only for glimpses that build V
+    a: List[Tensor] = field(default_factory=list)  # (N, N), one per glimpse
+    f_prime: Tensor = None  # last glimpse's output pooled over the grid, (L_w, D_f)
     f_hat: Tensor = None
 
     @property
@@ -143,22 +146,31 @@ def build_multimodal_map(v: Tensor, s: Tensor, q: QuestionEmbedding,
 
 
 def self_attention_pass(f_in: Tensor | tuple, params: GlimpseParams, config: CmsaConfig,
-                        collect: CmsaState = None) -> Tensor:
+                        collect: CmsaState = None, pool: bool = False) -> Tensor:
     """One glimpse over an (L_w, G, G, D_f) map or over F's factor triple
-    (v, s, q): Q/K/V maps, row-softmax attention over all positions, map back."""
+    (v, s, q): Q/K/V maps, row-softmax attention over all positions, map back.
+
+    With ``pool`` the (L_w, D_f) mean of the output over each word's grid is
+    returned instead. P, the (L_w, N) matrix averaging each word's G*G rows,
+    is applied to A first: P A V W_out + b equals the mean of A V W_out + b
+    because PA's rows sum to 1 like A's. A map input X then goes through V's
+    map only as the L_w rows (P A) X; V is never built."""
     l_w, g, d_f, qkv = config.l_w, config.g, config.d_f, config.qkv_channels
     n = config.n_positions
     if isinstance(f_in, tuple):
         _check_factors(*f_in, config)
+        x = None
         channel_map = partial(multimodal_channel_map, concat_last(f_in[:2]), f_in[2])
     else:
         if f_in.shape != (l_w, g, g, d_f):
             raise ShapeError(f"F {f_in.shape}, expected {(l_w, g, g, d_f)}")
-        channel_map = partial(pointwise_channel_map, reshape(f_in, (n, d_f)))
+        x = reshape(f_in, (n, d_f))
+        channel_map = partial(pointwise_channel_map, x)
 
     q = channel_map(params.q_w, params.q_b)
     k = channel_map(params.k_w, params.k_b)
-    v = channel_map(params.v_w, params.v_b)
+    # a pooled map input meets V's map only as the L_w rows (P A) X
+    v = None if pool and x is not None else channel_map(params.v_w, params.v_b)
 
     try:
         logits = matmul(q, transpose2d(k))
@@ -170,28 +182,37 @@ def self_attention_pass(f_in: Tensor | tuple, params: GlimpseParams, config: Cms
             "attention logits overflowed; consider enabling scaled_attention"
         ) from err
 
-    f_mid = matmul(a, v)
-    f_out = reshape(pointwise_channel_map(f_mid, params.out_w, params.out_b), (l_w, g, g, d_f))
     if collect is not None:
         collect.q.append(q)
         collect.k.append(k)
-        collect.v.append(v)
+        if v is not None:
+            collect.v.append(v)
         collect.a.append(a)
-    return f_out
+    if not pool:
+        f_mid = matmul(a, v)
+        return reshape(pointwise_channel_map(f_mid, params.out_w, params.out_b), (l_w, g, g, d_f))
+    a_bar = mean_over_axes(reshape(a, (l_w, g * g, n)), (1,))    # P A, (L_w, N)
+    if v is None:
+        f_mid = pointwise_channel_map(matmul(a_bar, x), params.v_w, params.v_b)
+    else:
+        f_mid = matmul(a_bar, v)
+    return pointwise_channel_map(f_mid, params.out_w, params.out_b)
 
 
 def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,
               config: CmsaConfig):
-    """Full fusion: glimpses in sequence, one residual from F, mean-pool, project."""
+    """Full fusion: glimpses in sequence, one residual from F, mean-pool, project.
+    The last glimpse returns its output already pooled over the grid."""
     state = CmsaState(inputs=(v, s, q, config))
     f_prime = (v, s, q.q)
-    for glimpse in params.glimpses:
-        f_prime = self_attention_pass(f_prime, glimpse, config, collect=state)
+    last = len(params.glimpses) - 1
+    for i, glimpse in enumerate(params.glimpses):
+        f_prime = self_attention_pass(f_prime, glimpse, config, collect=state, pool=i == last)
 
     # mean over the grid of F is [mean v | mean s | q_i] for word i
     grid_mean = mean_over_axes(concat_last([v, s]), (0, 1))
     f_mean = concat_last([broadcast_to(grid_mean, (config.l_w, config.c_v + 8)), q.q])
-    pooled = add(mean_over_axes(f_prime, (1, 2)), f_mean)     # (L_w, D_f)
+    pooled = add(f_prime, f_mean)     # (L_w, D_f)
     f_hat = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
 
     state.f_prime = f_prime

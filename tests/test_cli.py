@@ -166,9 +166,16 @@ class TestErrors:
         (("image_size = 8", "image_size = 2"), "image_size / grid must be a power of two >= 2"),
         (("steps = 4", "steps = 4\nglimpses = 0"), "glimpses must be >= 1"),
         (("steps = 4", "steps = 4\nnoise = -1"), "noise must be finite and >= 0"),
+        (("steps = 4", "steps = 4\nalpha = nan"), "alpha must be finite and >= 0"),
+        (("steps = 4", "steps = 4\nalpha = inf"), "alpha must be finite and >= 0"),
+        (("steps = 4", "steps = 4\nshape_gain = nan"), "shape_gain must be finite"),
+        (("steps = 4", "steps = 4\nshape_gain = inf"), "shape_gain must be finite"),
+        (("steps = 4", "steps = 4\ntrain_frac = nan"), "train_frac must be in (0, 1)"),
+        (("steps = 4", "steps = 4\nval_frac = nan"), "val_frac must be in [0, 1)"),
     ], ids=["empty-pretrain-val", "empty-vqa-test", "log-every-0", "lr-nan", "lr-negative",
             "d-q-0", "c-v-0", "l-w-0", "d-emb-1", "grid-3", "image-size-7", "image-size-is-grid",
-            "glimpses-0", "noise-negative"])
+            "glimpses-0", "noise-negative", "alpha-nan", "alpha-inf", "shape-gain-nan",
+            "shape-gain-inf", "train-frac-nan", "val-frac-nan"])
     def test_unworkable_value_rejected_before_output(self, workspace, tmp_path, capsys,
                                                      edit, named):
         root, cfg = workspace

@@ -12,7 +12,18 @@ from cmvqa.fusion import (
     init_cmsa,
     self_attention_pass,
 )
-from cmvqa.numerics import NonFiniteError, Rng, ShapeError, Tensor, grad_check, mul, sum_over_axes
+from cmvqa.numerics import (
+    NonFiniteError,
+    Rng,
+    ShapeError,
+    Tensor,
+    add,
+    grad_check,
+    mean_over_axes,
+    mul,
+    pointwise_channel_map,
+    sum_over_axes,
+)
 from cmvqa.question import QuestionEmbedding
 from cmvqa.vision import spatial_map
 
@@ -212,22 +223,23 @@ class TestCmsaFuse:
         assert np.abs(f_hat.data - expected).max() < 1e-12
 
     def test_zero_final_map_reduces_to_spatial_mean(self, gen):
-        """With the last out-map zeroed, pre-projection rows are mean(v)+mean(s)+q_i."""
+        """With the last out-map zeroed, the pooled output is zero and the
+        pre-projection rows are [mean v | mean s | q_i]."""
         config = small_config(glimpses=1)
         params = init_cmsa(Rng(8).gen, config)
         params.glimpses[0].out_w.data[:] = 0.0
         params.glimpses[0].out_b.data[:] = 0.0
-        # identity projection exposes the pooled vector directly
-        params.proj_w.data[:] = 0.0
-        params.proj_b.data[:] = 0.0
         v, s, q = random_inputs(gen, config)
-        _, state = cmsa_fuse(v, s, q, params, config)
-        pooled = (state.f_prime.data + state.f.data).mean(axis=(1, 2))
+        f_hat, state = cmsa_fuse(v, s, q, params, config)
+        assert state.f_prime.shape == (config.l_w, config.d_f)
+        assert not state.f_prime.data.any()
+        grid_mean = np.concatenate([v.data.mean(axis=(0, 1)), s.data.mean(axis=(0, 1))])
+        rows = state.f_prime.data + np.concatenate(
+            [np.broadcast_to(grid_mean, (config.l_w, grid_mean.size)), q.q.data], axis=1)
         for i in range(config.l_w):
-            expected = np.concatenate(
-                [v.data.mean(axis=(0, 1)), s.data.mean(axis=(0, 1)), q.q.data[i]]
-            )
-            assert np.abs(pooled[i] - expected).max() < 1e-12
+            assert np.abs(rows[i] - np.concatenate([grid_mean, q.q.data[i]])).max() < 1e-12
+        expected = rows @ params.proj_w.data + params.proj_b.data
+        assert np.abs(f_hat.data - expected).max() < 1e-12
 
     def test_fuse_and_backward_never_build_f(self, gen, monkeypatch):
         config = small_config(glimpses=2)
@@ -310,3 +322,156 @@ class TestCmsaFuse:
             })
         report = grad_check(objective, named, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+# -- pooled last glimpse -----------------------------------------------------------
+
+
+def _leaves(out):
+    """Every leaf tensor under ``out`` that takes a gradient."""
+    seen, stack, leaves = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.requires_grad and not node._parents:
+            leaves.append(node)
+        stack.extend(node._parents)
+    return leaves
+
+
+def _nodes(out, stop=()):
+    """Op nodes under ``out``, not descending into the tensors in ``stop``."""
+    seen, stack, nodes = {id(t) for t in stop}, [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _grads(objective, leaves):
+    for leaf in leaves:
+        leaf.zero_grad()
+    objective().backward()
+    return [leaf.grad for leaf in leaves]
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+class TestPooledPass:
+    """pool=True equals the grid mean of the full pass, in value and gradient."""
+
+    @pytest.mark.parametrize("factors", [False, True], ids=["map", "factors"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_matches_mean_of_full_pass(self, gen, factors, scaled):
+        config = CmsaConfig(l_w=3, g=2, c_v=3, d_q=4, glimpses=1, scaled_attention=scaled)
+        params = init_cmsa(Rng(20).gen, config).glimpses[0]
+        for p in vars(params).values():
+            p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
+        if factors:
+            v, s, q = random_inputs(gen, config)
+            v.requires_grad = q.q.requires_grad = True
+            f_in = (v, s, q.q)
+        else:
+            shape = (config.l_w, config.g, config.g, config.d_f)
+            f_in = Tensor(gen.standard_normal(shape), requires_grad=True)
+        coeffs = Tensor(gen.standard_normal((config.l_w, config.d_f)))
+
+        pooled = self_attention_pass(f_in, params, config, pool=True)
+        full = mean_over_axes(self_attention_pass(f_in, params, config), (1, 2))
+        assert pooled.shape == (config.l_w, config.d_f)
+        assert _rel(pooled.data, full.data) <= 1e-12
+
+        leaves = _leaves(full)
+        assert len(leaves) == (10 if factors else 9)
+        got = _grads(lambda: sum_over_axes(mul(
+            self_attention_pass(f_in, params, config, pool=True), coeffs), (0, 1)), leaves)
+        want = _grads(lambda: sum_over_axes(mul(mean_over_axes(
+            self_attention_pass(f_in, params, config), (1, 2)), coeffs), (0, 1)), leaves)
+        for leaf, g, w in zip(leaves, got, want):
+            if leaf is params.k_b:   # analytically zero, so roundoff on both sides
+                assert np.abs(g).max() <= 1e-12
+            else:
+                assert _rel(g, w) <= 1e-12, leaf.shape
+
+    @pytest.mark.parametrize("glimpses", [1, 2])
+    def test_fuse_matches_full_path_composition(self, gen, glimpses):
+        config = small_config(glimpses=glimpses)
+        params = init_cmsa(Rng(21).gen, config)
+        v, s, q = random_inputs(gen, config)
+        v.requires_grad = q.q.requires_grad = True
+        coeffs = Tensor(gen.standard_normal((config.l_w, config.d_q)))
+
+        def composed():
+            """Every glimpse on the full path, then the residual, pool and projection."""
+            f = (v, s, q.q)
+            for glimpse in params.glimpses:
+                f = self_attention_pass(f, glimpse, config)
+            pooled = add(mean_over_axes(f, (1, 2)),
+                         mean_over_axes(build_multimodal_map(v, s, q, config), (1, 2)))
+            return pointwise_channel_map(pooled, params.proj_w, params.proj_b)
+
+        f_hat = cmsa_fuse(v, s, q, params, config)[0]
+        assert _rel(f_hat.data, composed().data) <= 1e-12
+
+        leaves = _leaves(f_hat)
+        assert len(leaves) == 4 + 8 * glimpses
+        got = _grads(lambda: sum_over_axes(mul(
+            cmsa_fuse(v, s, q, params, config)[0], coeffs), (0, 1)), leaves)
+        want = _grads(lambda: sum_over_axes(mul(composed(), coeffs), (0, 1)), leaves)
+        k_bs = [gl.k_b for gl in params.glimpses]
+        for leaf, g, w in zip(leaves, got, want):
+            if any(leaf is k_b for k_b in k_bs):   # analytically zero
+                assert np.abs(g).max() <= 1e-12
+            else:
+                assert _rel(g, w) <= 1e-12, leaf.shape
+
+    @pytest.mark.parametrize("glimpses", [1, 2])
+    def test_last_glimpse_builds_no_full_v_or_output(self, gen, monkeypatch, glimpses):
+        """At gradcheck dims the last glimpse's graph holds no (N, qkv) V
+        (unless it maps the factors) and no (N, D_f) output."""
+        config = CmsaConfig(l_w=3, g=2, c_v=8, d_q=8, glimpses=glimpses)
+        params = init_cmsa(Rng(22).gen, config)
+        v, s, q = random_inputs(gen, config)
+        inputs = []
+        attention = fusion.self_attention_pass
+
+        def recording(f_in, *args, **kwargs):
+            inputs.append(f_in)
+            return attention(f_in, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "self_attention_pass", recording)
+        f_hat, state = cmsa_fuse(v, s, q, params, config)
+        n, qkv, d_f = config.n_positions, config.qkv_channels, config.d_f
+        last_in = inputs[-1] if isinstance(inputs[-1], tuple) else (inputs[-1],)
+        nodes = _nodes(f_hat, stop=last_in)
+
+        last = params.glimpses[-1]
+
+        def reading(leaf):
+            return [t for t in nodes if any(p is leaf for p in t._parents)]
+
+        # V's map runs on L_w rows, except over the factor triple, whose V map is cheap
+        v_maps = reading(last.v_w)
+        assert len(v_maps) == 1
+        assert v_maps[0].shape == ((n, qkv) if glimpses == 1 else (config.l_w, qkv))
+        if glimpses == 1:
+            assert v_maps[0] is state.v[-1]
+        # A meets nothing but the pool, and the out map runs on L_w rows
+        assert [t._op for t in reading(state.a[-1])] == ["reshape"]
+        assert [t.shape for t in reading(last.out_w)] == [(config.l_w, d_f)]
+        full = [t for t in nodes if t.size >= n * d_f]
+        if glimpses == 1:
+            assert full == []
+        else:   # only the input's (N, D_f) view that Q and K map
+            assert len(full) == 1 and full[0]._op == "reshape" and full[0]._parents == last_in
+        assert len(state.a) == len(state.q) == glimpses
+        assert len(state.v) == 1
