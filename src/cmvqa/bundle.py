@@ -1,12 +1,15 @@
 """Binary tensor-bundle persistence.
 
-A bundle is a single file holding named float64 arrays:
+A bundle is a single file holding named float64 or uint8 arrays:
 
     magic "CMTB" | version u32 | entry count u32
-    per entry: name length u32 | name utf-8 | ndim u32 | dims u64... | offset u64
-    payload length u64 | payload (contiguous little-endian float64)
+    per entry: name length u32 | name utf-8 | dtype u8 | ndim u32 | dims u64... | offset u64
+    payload length u64 | payload (contiguous little-endian arrays)
 
-Offsets index into the payload in bytes.  Round trips are bit-exact.
+The dtype code is 0 for float64 and 1 for uint8; the payload holds every
+float64 entry before the first uint8 one.  Version 1 files, which have no
+dtype code and hold float64 only, are still read.  Offsets index into the
+payload in bytes.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Dict
 import numpy as np
 
 MAGIC = b"CMTB"
-VERSION = 1
+VERSION = 2
+DTYPES = (np.dtype("<f8"), np.dtype("u1"))  # indexed by an entry's dtype code
 
 
 class BundleError(Exception):
@@ -26,7 +30,8 @@ class BundleError(Exception):
 
 
 def write_bundle(tensors: Dict[str, np.ndarray], path) -> None:
-    """Write named arrays to `path`. Names must be unique; values finite float64.
+    """Write named arrays to `path`. Names must be unique.  uint8 arrays are
+    stored as bytes; every other value as float64, which must be finite.
 
     The bytes go to a temporary file beside `path`, which then replaces it, so
     a write that fails or is interrupted leaves any earlier bundle intact.
@@ -34,22 +39,32 @@ def write_bundle(tensors: Dict[str, np.ndarray], path) -> None:
     names = list(tensors)
     if len(set(names)) != len(names):
         raise BundleError("duplicate tensor names")
-
     header = [MAGIC, struct.pack("<II", VERSION, len(names))]
-    payload = bytearray()
+    payload, byte_entries = bytearray(), bytearray()
+    byte_offsets = []   # (header slot, offset in byte_entries), set once floats end
     for name in names:
-        arr = np.asarray(tensors[name], dtype=np.float64)
+        arr = tensors[name]
+        code = int(getattr(arr, "dtype", None) == DTYPES[1])
+        if not code:
+            arr = np.asarray(arr, dtype=np.float64)
         encoded = name.encode("utf-8")
-        offset = len(payload)
         header.append(struct.pack("<I", len(encoded)))
         header.append(encoded)
-        header.append(struct.pack("<I", arr.ndim))
+        header.append(struct.pack("<BI", code, arr.ndim))
         header.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        header.append(struct.pack("<Q", offset))
-        payload += arr.astype("<f8").tobytes()
+        if code:
+            byte_offsets.append((len(header), len(byte_entries)))
+            header.append(None)
+            byte_entries += arr.tobytes()
+        else:
+            header.append(struct.pack("<Q", len(payload)))
+            payload += arr.astype("<f8").tobytes()
     if not np.isfinite(np.frombuffer(payload, "<f8")).all():
         bad = next(n for n in names if not np.isfinite(np.asarray(tensors[n], np.float64)).all())
         raise BundleError(f"tensor {bad!r} holds non-finite values")
+    for slot, offset in byte_offsets:
+        header[slot] = struct.pack("<Q", len(payload) + offset)
+    payload += byte_entries
 
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -82,7 +97,7 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
     if bytes(take(4)) != MAGIC:
         raise BundleError("unknown magic")
     version, count = struct.unpack("<II", take(8))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise BundleError(f"unsupported version {version}")
 
     entries = []
@@ -93,10 +108,15 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
         if name in seen:
             raise BundleError(f"duplicate tensor name {name!r}")
         seen.add(name)
-        (ndim,) = struct.unpack("<I", take(4))
+        if version == 1:
+            code, (ndim,) = 0, struct.unpack("<I", take(4))
+        else:
+            code, ndim = struct.unpack("<BI", take(5))
+            if code >= len(DTYPES):
+                raise BundleError(f"entry {name!r} has unknown dtype code {code}")
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         (offset,) = struct.unpack("<Q", take(8))
-        entries.append((name, shape, offset))
+        entries.append((name, code, shape, offset))
 
     (payload_len,) = struct.unpack("<Q", take(8))
     payload = view[pos : pos + payload_len]
@@ -104,10 +124,10 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
         raise BundleError("truncated payload")
 
     out = {}
-    for name, shape, offset in entries:
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
+    for name, code, shape, offset in entries:
+        nbytes = (1 if code else 8) * int(np.prod(shape, dtype=np.int64))
         if offset + nbytes > payload_len:
             raise BundleError(f"entry {name!r} overruns payload")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8")
-        out[name] = arr.reshape(shape).astype(np.float64).copy()
+        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=DTYPES[code]).reshape(shape)
+        out[name] = arr.copy() if code else arr.astype(np.float64).copy()
     return out

@@ -7,36 +7,29 @@ maps A V back to the F width.  A single residual from the original F feeds
 the mean-pool over the grid, and a final affine map produces one D_q row
 per word.
 
-The fuse never builds F: glimpse 0 maps its factors (v, s, q) directly, the
-residual's grid mean is [mean v | mean s | q_i], and ``CmsaState.f`` is lazy.
-Only the grid mean of the last glimpse's output is read, so that glimpse runs
-pooled: its attention rows are averaged over each word's grid cells before
-they meet V, and V's map and the out map act on those L_w rows.
+Each glimpse is one autodiff node, ``numerics.attention_glimpse``.  The fuse
+never builds F: glimpse 0 maps its factors (v, s, q) directly, the residual's
+grid mean is [mean v | mean s | q_i], and ``CmsaState.f`` is lazy.  Only the
+grid mean of the last glimpse's output is read, so that glimpse runs pooled:
+its attention rows are averaged over each word's grid cells before they meet
+V, and V's map and the out map act on those L_w rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List
 
-import numpy as np
-
 from .numerics import (
-    NonFiniteError,
     ShapeError,
     Tensor,
     add,
+    attention_glimpse,
     broadcast_to,
     concat_last,
-    matmul,
     mean_over_axes,
-    multimodal_channel_map,
     pointwise_channel_map,
     reshape,
-    scale,
-    softmax_rows,
-    transpose2d,
     uniform_init,
     zeros_param,
 )
@@ -155,48 +148,21 @@ def self_attention_pass(f_in: Tensor | tuple, params: GlimpseParams, config: Cms
     is applied to A first: P A V W_out + b equals the mean of A V W_out + b
     because PA's rows sum to 1 like A's. A map input X then goes through V's
     map only as the L_w rows (P A) X; V is never built."""
-    l_w, g, d_f, qkv = config.l_w, config.g, config.d_f, config.qkv_channels
-    n = config.n_positions
+    l_w, g, d_f = config.l_w, config.g, config.d_f
     if isinstance(f_in, tuple):
         _check_factors(*f_in, config)
-        x = None
-        channel_map = partial(multimodal_channel_map, concat_last(f_in[:2]), f_in[2])
-    else:
-        if f_in.shape != (l_w, g, g, d_f):
-            raise ShapeError(f"F {f_in.shape}, expected {(l_w, g, g, d_f)}")
-        x = reshape(f_in, (n, d_f))
-        channel_map = partial(pointwise_channel_map, x)
-
-    q = channel_map(params.q_w, params.q_b)
-    k = channel_map(params.k_w, params.k_b)
-    # a pooled map input meets V's map only as the L_w rows (P A) X
-    v = None if pool and x is not None else channel_map(params.v_w, params.v_b)
-
-    try:
-        logits = matmul(q, transpose2d(k))
-        if config.scaled_attention:
-            logits = scale(logits, 1.0 / np.sqrt(qkv))
-        a = softmax_rows(logits)
-    except NonFiniteError as err:
-        raise NonFiniteError(
-            "attention logits overflowed; consider enabling scaled_attention"
-        ) from err
-
+    elif f_in.shape != (l_w, g, g, d_f):
+        raise ShapeError(f"F {f_in.shape}, expected {(l_w, g, g, d_f)}")
+    weights = (params.q_w, params.q_b, params.k_w, params.k_b, params.v_w, params.v_b,
+               params.out_w, params.out_b)
+    out, (q, k, v, a) = attention_glimpse(f_in, weights, config.scaled_attention, pool)
     if collect is not None:
-        collect.q.append(q)
-        collect.k.append(k)
+        collect.q.append(Tensor(q))
+        collect.k.append(Tensor(k))
         if v is not None:
-            collect.v.append(v)
-        collect.a.append(a)
-    if not pool:
-        f_mid = matmul(a, v)
-        return reshape(pointwise_channel_map(f_mid, params.out_w, params.out_b), (l_w, g, g, d_f))
-    a_bar = mean_over_axes(reshape(a, (l_w, g * g, n)), (1,))    # P A, (L_w, N)
-    if v is None:
-        f_mid = pointwise_channel_map(matmul(a_bar, x), params.v_w, params.v_b)
-    else:
-        f_mid = matmul(a_bar, v)
-    return pointwise_channel_map(f_mid, params.out_w, params.out_b)
+            collect.v.append(Tensor(v))
+        collect.a.append(Tensor(a))
+    return out
 
 
 def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,

@@ -204,12 +204,13 @@ def save_checkpoint(params: Dict[str, Tensor], step: int, config_text: str, path
     """Single bundle: parameters + step counter + config echo (utf-8 bytes)."""
     arrays = {name: t.data for name, t in params.items()}
     arrays["__step__"] = np.array(float(step))
-    arrays["__config__"] = np.frombuffer(config_text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
+    arrays["__config__"] = np.frombuffer(config_text.encode("utf-8"), dtype=np.uint8)
     write_bundle(arrays, path)
 
 
 def load_checkpoint(path):
-    """Returns (name -> array, step, config text)."""
+    """Returns (name -> array, step, config text).  The config echo is
+    uint8, or float64 per byte in a version 1 bundle."""
     arrays = read_bundle(path)
     step = int(arrays.pop("__step__")[()]) if "__step__" in arrays else 0
     text = ""

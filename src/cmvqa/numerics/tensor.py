@@ -151,6 +151,14 @@ def _node(
     return out
 
 
+def _checked(data: np.ndarray, op: str, stage: str) -> np.ndarray:
+    """``data``, given the check ``_node`` makes, for a value that a layer-level
+    op computes on the way to its output."""
+    if not _all_true(_isfinite(data), None):
+        raise NonFiniteError(op, stage)
+    return data
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape` (inverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -209,6 +217,40 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
+def weighted_sum(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
+    """(w[0] * parts[0] + w[1] * parts[1]) + ... as one node: the sum, left to
+    right, of equally shaped tensors scaled by the entries of the (K,) w.
+
+    Values and gradients equal those of mul(broadcast_to(slice_last(w, k, k + 1),
+    shape), parts[k]) folded with add, for K >= 2."""
+    parts = tuple(parts)
+    shape = parts[0].shape
+    if w.shape != (len(parts),) or any(p.shape != shape for p in parts):
+        raise ShapeError(f"weighted_sum of {[p.shape for p in parts]} by weights {w.shape}")
+    weights = w.data
+    data = None
+    for k, part in enumerate(parts):
+        term = _checked(weights[k] * part.data, "weighted_sum", f"term {k}")
+        data = term if data is None else data + term
+        if 0 < k < len(parts) - 1:   # the last sum is the node's value
+            _checked(data, "weighted_sum", f"sum of terms 0-{k}")
+
+    def back(g: np.ndarray):
+        # each weight's gradient came from slice_last's zero-filled (K,)
+        # arrays, whose sum turns -0.0 into +0.0 (numpy 2's sums return +0.0
+        # for all -0.0 terms, so this shows only where a sum can keep -0.0)
+        gw = np.concatenate([_unbroadcast(g * p.data, (1,)) for p in parts])
+        gw += 0.0
+        g_parts = tuple(g * weights[k] for k in range(len(parts)))
+        return g_parts[:-1] + (gw,) + g_parts[-1:]
+
+    # The graph walk takes parents last-listed first, and the composition's
+    # walk reached the last part, then w, then the other parts: listed in that
+    # order, a tensor upstream of both w and a part gets its gradient terms in
+    # the composition's order.
+    return _node(data, parts[:-1] + (w,) + parts[-1:], back, "weighted_sum")
+
+
 # -- linear algebra ----------------------------------------------------------
 
 
@@ -249,11 +291,18 @@ def pointwise_channel_map(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     data = (x2 @ weight.data + bias.data).reshape(x.shape[:-1] + (c_out,))
 
     def back(g: np.ndarray):
-        g2 = g.reshape(-1, c_out)
-        gx = g.reshape(x2.shape[:-1] + (c_out,)) @ weight.data.T
-        return gx.reshape(x.shape), x.data.reshape(-1, c_in).T @ g2, g2.sum(axis=0)
+        gx, gw, gb = _affine_back(x2, weight.data, g)
+        return gx.reshape(x.shape), gw, gb
 
     return _node(data, (x, weight, bias), back, "pointwise_channel_map")
+
+
+def _affine_back(x2: np.ndarray, weight: np.ndarray, g: np.ndarray):
+    """Gradients (input, weight, bias) of x2 @ weight + bias, x2 of rank <= 2."""
+    c_in, c_out = weight.shape
+    g2 = g.reshape(-1, c_out)
+    gx = g.reshape(x2.shape[:-1] + (c_out,)) @ weight.T
+    return gx, x2.reshape(-1, c_in).T @ g2, g2.sum(axis=0)
 
 
 def multimodal_channel_map(grid: Tensor, words: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -265,18 +314,32 @@ def multimodal_channel_map(grid: Tensor, words: Tensor, weight: Tensor, bias: Te
             weight.shape[0] != grid.shape[2] + words.shape[1] or bias.shape != weight.shape[1:]:
         raise ShapeError(f"multimodal_channel_map shapes: grid {grid.shape}, words "
                          f"{words.shape}, weight {weight.shape}, bias {bias.shape}")
-    k, l_w, c_out = grid.shape[2], words.shape[0], weight.shape[1]
-    cells = grid.data.reshape(-1, k)
-    w_grid, w_word = weight.data[:k], weight.data[k:]
-    data = ((words.data @ w_word + bias.data)[:, None] + cells @ w_grid).reshape(-1, c_out)
+    cells = grid.data.reshape(-1, grid.shape[2])
+    data = _multimodal(cells, words.data, weight.data, bias.data)
 
     def back(g: np.ndarray):
-        g3 = g.reshape(l_w, -1, c_out)
-        g_cell, g_word = g3.sum(axis=0), g3.sum(axis=1)
-        gw = np.concatenate([cells.T @ g_cell, words.data.T @ g_word])
-        return (g_cell @ w_grid.T).reshape(grid.shape), g_word @ w_word.T, gw, g_word.sum(axis=0)
+        g_cell, g_word, gw, gb = _multimodal_back(cells, words.data, weight.data, g)
+        return g_cell.reshape(grid.shape), g_word, gw, gb
 
     return _node(data, (grid, words, weight, bias), back, "multimodal_channel_map")
+
+
+def _multimodal(cells: np.ndarray, words: np.ndarray, weight: np.ndarray,
+                bias: np.ndarray) -> np.ndarray:
+    """multimodal_channel_map's value from the (G * G, C_g) cells and (L, D) words."""
+    k = cells.shape[1]
+    return ((words @ weight[k:] + bias)[:, None] + cells @ weight[:k]).reshape(-1, weight.shape[1])
+
+
+def _multimodal_back(cells: np.ndarray, words: np.ndarray, weight: np.ndarray, g: np.ndarray):
+    """Gradients (cells, words, weight, bias) of ``_multimodal``."""
+    k, c_out = cells.shape[1], weight.shape[1]
+    g3 = g.reshape(words.shape[0], -1, c_out)
+    g_cell, g_word = g3.sum(axis=0), g3.sum(axis=1)
+    gw = np.empty(weight.shape)   # both products written in place, no concatenated copy
+    np.matmul(cells.T, g_cell, out=gw[:k])
+    np.matmul(words.T, g_word, out=gw[k:])
+    return g_cell @ weight[:k].T, g_word @ weight[k:].T, gw, g_word.sum(axis=0)
 
 
 # -- shape plumbing ----------------------------------------------------------
@@ -399,15 +462,18 @@ def softmax_rows(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {x.shape}")
     if not np.isfinite(x.data).all():
         raise NonFiniteError("softmax_rows", "input contains NaN/Inf")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = _softmax(x.data)
+    return _node(out, (x,), lambda g: (_softmax_back(out, g),), "softmax_rows")
 
-    def back(g: np.ndarray):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
 
-    return _node(out, (x,), back, "softmax_rows")
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_back(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dot = (g * out).sum(axis=1, keepdims=True)
+    return out * (g - dot)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
@@ -465,6 +531,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: in
     weight: (kh, kw, C_in, C_out), bias: (C_out,). Output spatial size is
     (H + 2*padding - kh) // stride + 1 per side.
     """
+    data, back = _conv2d(x, weight, bias, stride, padding)
+    return _node(data, (x, weight, bias), back, "conv2d")
+
+
+def conv2d_relu(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2,
+                padding: int = 1) -> Tensor:
+    """relu(conv2d(x, weight, bias, stride, padding)) as one node, with the
+    same values and gradients as the two ops."""
+    pre, conv_back = _conv2d(x, weight, bias, stride, padding)
+    # checked before the ReLU, which would turn NaN and -inf into 0
+    mask = _checked(pre, "conv2d_relu", "convolution") > 0
+    return _node(np.where(mask, pre, 0.0), (x, weight, bias), lambda g: conv_back(g * mask),
+                 "conv2d_relu")
+
+
+def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int):
+    """The convolution's value and its backward, (gx, gw, gb) of the upstream
+    gradient; gx is None when x needs no gradient."""
     h, w, c_in = x.shape
     kh, kw, wc_in, c_out = weight.shape
     if wc_in != c_in:
@@ -491,16 +575,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: in
         if not x.requires_grad:  # a raw image: skip the input-gradient GEMM and col2im
             return None, gw, gb
         gcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, c_in)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += gcols[
-                    :, :, i, j, :
-                ]
-        gx = gxp[padding : padding + h, padding : padding + w, :]
+        # col2im on the padded input seen as (row block, row phase, column
+        # block, column phase): tap (i, j) adds to block offset (i // stride,
+        # j // stride) at phase (i % stride, j % stride).  The taps sharing a
+        # block offset hit distinct cells, so each offset is one add, and the
+        # offsets run in (i, j) order, which is every cell's order in a
+        # tap-by-tap loop.
+        nh, nw = -(-xp.shape[0] // stride), -(-xp.shape[1] // stride)
+        gxp = np.zeros((nh, stride, nw, stride, c_in))
+        for i in range(0, kh, stride):
+            for j in range(0, kw, stride):
+                taps = gcols[:, :, i : i + stride, j : j + stride]
+                gxp[i // stride : i // stride + ho, : taps.shape[2],
+                    j // stride : j // stride + wo, : taps.shape[3]] += taps.transpose(0, 2, 1, 3, 4)
+        gx = gxp.reshape(nh * stride, nw * stride, c_in)[padding : padding + h, padding : padding + w]
         return gx, gw, gb
 
-    return _node(data, (x, weight, bias), back, "conv2d")
+    return data, back
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -514,6 +605,125 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         return (g.reshape(h, factor, w, factor, c).sum(axis=(1, 3)),)
 
     return _node(data, (x,), back, "upsample_nearest")
+
+
+# -- attention ------------------------------------------------------------------
+
+
+def attention_glimpse(f_in: Tensor | tuple, weights: Sequence[Tensor], scaled: bool = False,
+                      pool: bool = False) -> tuple[Tensor, tuple]:
+    """One self-attention glimpse as one node: Q/K/V channel maps, attention
+    A = softmax_rows(Q K^T) over all N positions, and the out map of A V.
+
+    ``f_in`` is an (L, G, G, D) map, or the factor triple (v, s, q) of the map
+    F[i, r, c] = [v[r, c] | s[r, c] | q[i]], read as multimodal_channel_map
+    does.  ``weights`` is (q_w, q_b, k_w, k_b, v_w, v_b, out_w, out_b), and
+    ``scaled`` divides the logits by sqrt(qkv).  The output is (L, G, G, D),
+    or with ``pool`` its (L, D) mean over each word's G * G positions: A's rows
+    are averaged per word before they meet V, and a map input X meets V's
+    map only as those L rows times X, so V is not built.
+
+    Returns the node and the arrays (q, k, v, a), v None where V is not built.
+    Values and gradients equal those of the primitive ops' graph bit for bit:
+    the backward runs their backward expressions in the order the sweep took.
+    """
+    op = "attention_glimpse"
+    q_w, q_b, k_w, k_b, v_w, v_b, out_w, out_b = weights
+    d_f, qkv = q_w.shape
+    if any(w.shape != (d_f, qkv) for w in (k_w, v_w)) or out_w.shape != (qkv, d_f) or \
+            any(b.shape != (qkv,) for b in (q_b, k_b, v_b)) or out_b.shape != (d_f,):
+        raise ShapeError(f"{op} weights {[w.shape for w in weights]}")
+    factors = isinstance(f_in, tuple)
+    if factors:
+        v_in, s_in, words = f_in
+        grid = np.concatenate([v_in.data, s_in.data], axis=-1)
+        if grid.ndim != 3 or words.data.ndim != 2 or grid.shape[2] + words.shape[1] != d_f:
+            raise ShapeError(f"{op} factors {v_in.shape}, {s_in.shape}, {words.shape}, D = {d_f}")
+        cells = grid.reshape(-1, grid.shape[2])
+        out_shape = (words.shape[0],) + grid.shape[:2] + (d_f,)
+        parents = (v_in, s_in, words, words, words)   # the words feed three maps
+
+        def channel_map(w: Tensor, b: Tensor) -> np.ndarray:
+            return _multimodal(cells, words.data, w.data, b.data)
+    else:
+        if f_in.data.ndim != 4 or f_in.shape[3] != d_f:
+            raise ShapeError(f"{op} map {f_in.shape} for D = {d_f}")
+        x = f_in.data.reshape(-1, d_f)
+        out_shape, parents = f_in.shape, (f_in,)
+
+        def channel_map(w: Tensor, b: Tensor) -> np.ndarray:
+            return x @ w.data + b.data
+
+    l_w = out_shape[0]
+    q = _checked(channel_map(q_w, q_b), op, "q map")
+    k = _checked(channel_map(k_w, k_b), op, "k map")
+    v = None if pool and not factors else _checked(channel_map(v_w, v_b), op, "v map")
+    # transpose2d's copy: BLAS rounds a product by the layout of its operands
+    k_t = k.T.copy()
+    logits = q @ k_t
+    if scaled:
+        c = 1.0 / np.sqrt(qkv)
+        logits = logits * c
+    _checked(logits, op, "attention logits overflowed; consider enabling scaled_attention")
+    a = _checked(_softmax(logits), op, "attention")
+    del logits
+    n = a.shape[0]
+    per_word = n // l_w
+    if not pool:
+        mid = _checked(a @ v, op, "A V")
+        out = (mid @ out_w.data + out_b.data).reshape(out_shape)
+    else:
+        a_bar = _checked(np.add.reduce(a.reshape(l_w, per_word, n), axis=(1,)) / per_word,
+                         op, "pooled attention")
+        if v is None:
+            x_bar = _checked(a_bar @ x, op, "pooled input")
+            mid = _checked(x_bar @ v_w.data + v_b.data, op, "v map")
+        else:
+            mid = _checked(a_bar @ v, op, "pooled A V")
+        out = mid @ out_w.data + out_b.data
+
+    def back(g: np.ndarray):
+        g_in = None   # the gradient of the map input, or of the grid cells
+        g_params = []
+        if pool:
+            g, g_ow, g_ob = _affine_back(mid, out_w.data, g)
+            if v is None:
+                g, g_vw, g_vb = _affine_back(x_bar, v_w.data, g)
+                g_in, g = a_bar.T @ g, g @ x.T
+            else:
+                g_v, g = a_bar.T @ g, g @ v.T
+            g = (np.broadcast_to(g.reshape(l_w, 1, n), (l_w, per_word, n)) / per_word).reshape(n, n)
+        else:
+            g, g_ow, g_ob = _affine_back(mid, out_w.data, g.reshape(n, d_f))
+            g_v, g = a.T @ g, g @ v.T
+        g = _softmax_back(a, g)
+        if scaled:
+            g = g * c
+        # the maps' backwards in the sweep's order, Q's first; each map's
+        # gradient is dropped once used, as the sweep pops it
+        maps = [(q_w, g @ k_t.T), (k_w, (q.T @ g).T)] + ([(v_w, g_v)] if v is not None else [])
+        g = g_v = None   # maps holds the only references
+        g_words = []
+        while maps:
+            w, g_map = maps.pop(0)
+            if factors:
+                g_term, g_word, g_w, g_b = _multimodal_back(cells, words.data, w.data, g_map)
+                g_words.append(g_word)
+            else:
+                g_term, g_w, g_b = _affine_back(x, w.data, g_map)
+            g_in = g_term if g_in is None else g_in + g_term
+            del g_map, g_term
+            g_params += [g_w, g_b]
+        if v is None:
+            g_params += [g_vw, g_vb]
+        g_params += [g_ow, g_ob]
+        if not factors:
+            return (g_in.reshape(f_in.shape), *g_params)
+        g_in = g_in.reshape(grid.shape)
+        c_v = v_in.shape[2]
+        return (g_in[..., :c_v], g_in[..., c_v:], *g_words, *g_params)
+
+    return _node(out, parents + tuple(weights), back, op), (q, k, v, a)
 
 
 # -- parameter construction ---------------------------------------------------

@@ -16,17 +16,13 @@ import numpy as np
 from .numerics import (
     ShapeError,
     Tensor,
-    add,
-    broadcast_to,
-    conv2d,
+    conv2d_relu,
     mean_over_axes,
-    mul,
     pointwise_channel_map,
-    relu,
     reshape,
-    slice_last,
     softmax_rows,
     uniform_init,
+    weighted_sum,
     zeros_param,
 )
 
@@ -89,7 +85,7 @@ def backbone_forward(image: Tensor, params: BackboneParams) -> Tensor:
     """Image (H, W, C_in) -> features (G, G, C_v); ReLU after every layer."""
     x = image
     for layer in params.layers:
-        x = relu(conv2d(x, layer.weight, layer.bias, stride=2, padding=1))
+        x = conv2d_relu(x, layer.weight, layer.bias, stride=2, padding=1)
     return x
 
 
@@ -105,7 +101,7 @@ def init_type_classifier(gen, c_in: int, stem_channels: int = 8) -> TypeClassifi
 
 def classify_type(image: Tensor, params: TypeClassifierParams) -> TypeGate:
     """Cheap stem + global pool + affine -> simplex weights over the 3 types."""
-    feats = relu(conv2d(image, params.stem.weight, params.stem.bias, stride=2, padding=1))
+    feats = conv2d_relu(image, params.stem.weight, params.stem.bias, stride=2, padding=1)
     pooled = mean_over_axes(feats, (0, 1))
     logits = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
     w = reshape(softmax_rows(reshape(logits, (1, 3))), (3,))
@@ -114,16 +110,7 @@ def classify_type(image: Tensor, params: TypeClassifierParams) -> TypeGate:
 
 def blend(v_a: Tensor, v_h: Tensor, v_c: Tensor, gate: TypeGate) -> Tensor:
     """Soft selection of encoder outputs: w1*v_a + w2*v_h + w3*v_c, elementwise."""
-    if not (v_a.shape == v_h.shape == v_c.shape):
-        raise ShapeError(
-            f"visual features disagree: {v_a.shape} vs {v_h.shape} vs {v_c.shape}"
-        )
-    shape = v_a.shape
-    parts = []
-    for i, v_i in enumerate((v_a, v_h, v_c)):
-        w_i = broadcast_to(slice_last(gate.w, i, i + 1), shape)
-        parts.append(mul(w_i, v_i))
-    return add(add(parts[0], parts[1]), parts[2])
+    return weighted_sum(gate.w, (v_a, v_h, v_c))
 
 
 def spatial_map(g: int) -> Tensor:
@@ -134,21 +121,11 @@ def spatial_map(g: int) -> Tensor:
     """
     if g < 1:
         raise ShapeError(f"grid size must be >= 1, got {g}")
-    s = np.zeros((g, g, 8))
-    for r in range(g):
-        for c in range(g):
-            x_tl = -1.0 + 2.0 * c / g
-            y_tl = -1.0 + 2.0 * r / g
-            x_br = -1.0 + 2.0 * (c + 1) / g
-            y_br = -1.0 + 2.0 * (r + 1) / g
-            s[r, c] = [
-                x_tl,
-                y_tl,
-                (x_tl + x_br) / 2.0,
-                (y_tl + y_br) / 2.0,
-                x_br,
-                y_br,
-                2.0 / g,
-                2.0 / g,
-            ]
+    edges = -1.0 + 2.0 * np.arange(g + 1) / g
+    lo, hi = edges[:-1], edges[1:]
+    cells = np.stack([lo, (lo + hi) / 2.0, hi], axis=-1)   # (G, 3): low edge, centre, high edge
+    s = np.empty((g, g, 8))
+    s[:, :, 0:6:2] = cells[None, :, :]   # x from the column
+    s[:, :, 1:6:2] = cells[:, None, :]   # y from the row
+    s[:, :, 6:] = 2.0 / g
     return Tensor(s)

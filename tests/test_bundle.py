@@ -59,6 +59,31 @@ def test_unknown_magic_raises(tmp_path):
         read_bundle(path)
 
 
+def test_uint8_entries_round_trip_as_bytes(tmp_path, gen):
+    tensors = {"a": gen.standard_normal((2, 3)), "text": np.frombuffer(b"k = v\n", np.uint8),
+               "b": gen.standard_normal(4), "empty": np.zeros(0, np.uint8)}
+    path = tmp_path / "mixed.cmtb"
+    write_bundle(tensors, path)
+    back = read_bundle(path)
+    assert list(back) == list(tensors)
+    for name, arr in tensors.items():
+        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes()
+    # per entry: name length, name, dtype code, ndim, dims, offset; then
+    # the payload length, 8 bytes per float and 1 per byte
+    header = 12 + sum(4 + len(n) + 1 + 4 + 8 * a.ndim + 8 for n, a in tensors.items())
+    assert path.stat().st_size == header + 8 + 8 * (6 + 4) + 6
+
+
+def test_unknown_dtype_code_raises(tmp_path):
+    path = tmp_path / "d.cmtb"
+    write_bundle({"x": np.zeros(1)}, path)
+    raw = bytearray(path.read_bytes())
+    raw[12 + 4 + 1] = 7  # the code after the name's length and its one byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BundleError, match="dtype code 7"):
+        read_bundle(path)
+
+
 def test_unknown_version_raises(tmp_path, gen):
     path = tmp_path / "v.cmtb"
     write_bundle({"x": gen.standard_normal(3)}, path)

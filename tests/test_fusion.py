@@ -26,6 +26,7 @@ from cmvqa.numerics import (
 )
 from cmvqa.question import QuestionEmbedding
 from cmvqa.vision import spatial_map
+from layer_oracles import self_attention_composition
 
 
 def small_config(**kw):
@@ -341,20 +342,6 @@ def _leaves(out):
     return leaves
 
 
-def _nodes(out, stop=()):
-    """Op nodes under ``out``, not descending into the tensors in ``stop``."""
-    seen, stack, nodes = {id(t) for t in stop}, [out], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._parents:
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
 def _grads(objective, leaves):
     for leaf in leaves:
         leaf.zero_grad()
@@ -436,42 +423,122 @@ class TestPooledPass:
 
     @pytest.mark.parametrize("glimpses", [1, 2])
     def test_last_glimpse_builds_no_full_v_or_output(self, gen, monkeypatch, glimpses):
-        """At gradcheck dims the last glimpse's graph holds no (N, qkv) V
-        (unless it maps the factors) and no (N, D_f) output."""
+        """At gradcheck dims the last glimpse's node builds no (N, qkv) V
+        (unless it maps the factors) and no (N, D_f) output: every product
+        its forward computes with the map input, V's weight or the out map's
+        weight is recorded by shape."""
         config = CmsaConfig(l_w=3, g=2, c_v=8, d_q=8, glimpses=glimpses)
         params = init_cmsa(Rng(22).gen, config)
         v, s, q = random_inputs(gen, config)
-        inputs = []
+        last = params.glimpses[-1]
         attention = fusion.self_attention_pass
+        products = []
 
-        def recording(f_in, *args, **kwargs):
-            inputs.append(f_in)
-            return attention(f_in, *args, **kwargs)
+        def recording(f_in, *args, pool=False, **kwargs):
+            if pool:
+                if not isinstance(f_in, tuple):
+                    f_in.data = _Spy.of(f_in.data, "x", products)
+                last.v_w.data = _Spy.of(last.v_w.data, "v_w", products)
+                last.out_w.data = _Spy.of(last.out_w.data, "out_w", products)
+            return attention(f_in, *args, pool=pool, **kwargs)
 
         monkeypatch.setattr(fusion, "self_attention_pass", recording)
         f_hat, state = cmsa_fuse(v, s, q, params, config)
-        n, qkv, d_f = config.n_positions, config.qkv_channels, config.d_f
-        last_in = inputs[-1] if isinstance(inputs[-1], tuple) else (inputs[-1],)
-        nodes = _nodes(f_hat, stop=last_in)
+        n, qkv, d_f, l_w = config.n_positions, config.qkv_channels, config.d_f, config.l_w
 
-        last = params.glimpses[-1]
+        def reading(tag):
+            return [shapes for tags, shapes in products if tag in tags]
 
-        def reading(leaf):
-            return [t for t in nodes if any(p is leaf for p in t._parents)]
-
-        # V's map runs on L_w rows, except over the factor triple, whose V map is cheap
-        v_maps = reading(last.v_w)
-        assert len(v_maps) == 1
-        assert v_maps[0].shape == ((n, qkv) if glimpses == 1 else (config.l_w, qkv))
-        if glimpses == 1:
-            assert v_maps[0] is state.v[-1]
-        # A meets nothing but the pool, and the out map runs on L_w rows
-        assert [t._op for t in reading(state.a[-1])] == ["reshape"]
-        assert [t.shape for t in reading(last.out_w)] == [(config.l_w, d_f)]
-        full = [t for t in nodes if t.size >= n * d_f]
-        if glimpses == 1:
-            assert full == []
-        else:   # only the input's (N, D_f) view that Q and K map
-            assert len(full) == 1 and full[0]._op == "reshape" and full[0]._parents == last_in
+        # the out map runs on L_w rows
+        assert reading("out_w") == [((l_w, qkv), (qkv, d_f))]
+        if glimpses == 1:   # V's map over the factor triple: words and grid cells
+            k = config.c_v + 8
+            assert reading("v_w") == [((l_w, config.d_q), (config.d_q, qkv)),
+                                      ((config.g ** 2, k), (k, qkv))]
+            assert state.v[-1].shape == (n, qkv)
+        else:   # V's map runs on the L_w rows (P A) X, and X meets only Q, K and P A
+            assert reading("v_w") == [((l_w, d_f), (d_f, qkv))]
+            assert reading("x") == [((n, d_f), (d_f, qkv))] * 2 + [((l_w, n), (n, d_f))]
         assert len(state.a) == len(state.q) == glimpses
         assert len(state.v) == 1
+
+
+class _Spy(np.ndarray):
+    """An array, and its views, that log the operand shapes of each matmul
+    they enter, with the tags of the spied operands."""
+
+    @classmethod
+    def of(cls, data, tag, log):
+        spy = data.view(cls)
+        spy.tag, spy.log = tag, log
+        return spy
+
+    def __array_finalize__(self, obj):
+        self.tag, self.log = getattr(obj, "tag", None), getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(({getattr(x, "tag", None) for x in inputs},
+                             tuple(np.shape(x) for x in inputs)))
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Spy) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+# -- one node per glimpse ----------------------------------------------------------
+
+
+class TestGlimpseNode:
+    """self_attention_pass is one attention_glimpse node with the bits of the
+    primitive-op composition it replaced."""
+
+    @pytest.mark.parametrize("factors", [False, True], ids=["map", "factors"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("dims", [dict(l_w=3, g=2, c_v=3, d_q=4),
+                                      # N = 100, qkv = 50: OpenBLAS rounds Q K^T by the
+                                      # layout of K^T, which transpose2d copied
+                                      dict(l_w=4, g=5, c_v=40, d_q=52)], ids=["small", "wide"])
+    def test_batch_of_three_bit_identical_to_composition(self, gen, factors, pool, scaled, dims):
+        config = CmsaConfig(**dims, glimpses=1, scaled_attention=scaled)
+        params = init_cmsa(Rng(30).gen, config).glimpses[0]
+        for p in vars(params).values():
+            p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
+        inputs = []
+        for _ in range(3):
+            if factors:
+                v, s, q = random_inputs(gen, config)
+                v.requires_grad = q.q.requires_grad = True
+                inputs.append((v, s, q.q))
+            else:
+                shape = (config.l_w, config.g, config.g, config.d_f)
+                inputs.append(Tensor(gen.standard_normal(shape), requires_grad=True))
+        out_shape = (config.l_w, config.d_f) if pool else (config.l_w, config.g, config.g,
+                                                           config.d_f)
+        coeffs = [Tensor(gen.standard_normal(out_shape)) for _ in inputs]
+        leaves = list(vars(params).values())
+        leaves += [t for f_in in inputs for t in (f_in if factors else (f_in,)) if t.requires_grad]
+
+        def bits(attend):
+            state = CmsaState()
+            outs = [attend(f_in, params, config, collect=state, pool=pool) for f_in in inputs]
+            total = None
+            for out, c in zip(outs, coeffs):
+                term = sum_over_axes(mul(out, c), tuple(range(len(out_shape))))
+                total = term if total is None else add(total, term)
+            for leaf in leaves:
+                leaf.zero_grad()
+            total.backward()
+            collected = state.q + state.k + state.v + state.a
+            return ([t.data.tobytes() for t in outs + collected]
+                    + [leaf.grad.tobytes() for leaf in leaves])
+
+        assert bits(self_attention_pass) == bits(self_attention_composition)
+
+    def test_names_the_stage_of_a_non_finite_map(self):
+        config = small_config(glimpses=1)
+        params = init_cmsa(Rng(2).gen, config).glimpses[0]
+        params.k_w.data[0, 0] = 1e308
+        f = np.full((config.l_w, config.g, config.g, config.d_f), 1e10)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="k map") as err:
+            self_attention_pass(Tensor(f), params, config)
+        assert err.value.op == "attention_glimpse"

@@ -1,15 +1,19 @@
 """Tests for model assembly, parameter registries, and checkpoints."""
 
+import struct
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmvqa import question
-from cmvqa.bundle import write_bundle
+import layer_oracles
+from cmvqa import fusion, model as model_module, question
+from cmvqa.bundle import read_bundle, write_bundle
 from cmvqa.config import RunConfig, load_config
 from cmvqa.data import TYPE_NAMES, build_vocabulary, generate_vqa, generate_pretrain
+from cmvqa.heads import pretrain_loss, vqa_loss
 from cmvqa.model import (
     PretrainModel,
     VqaModel,
@@ -17,10 +21,25 @@ from cmvqa.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from cmvqa.numerics import ShapeError, lstm_sequence
+from cmvqa.numerics import ShapeError, add, lstm_sequence, scale
 from cmvqa.numerics import lstm as lstm_module, tensor as tensor_module
 
 TINY = dict(image_size=8, grid=2, c_v=8, d_q=8, d_emb=6, l_w=6)
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def _record_ops(monkeypatch) -> list:
+    """Patch the node constructor; the returned list collects each new node's op."""
+    built = []
+    node = tensor_module._node
+
+    def counting(*args):
+        built.append(args[-1])
+        return node(*args)
+
+    for module in (tensor_module, lstm_module):
+        monkeypatch.setattr(module, "_node", counting)
+    return built
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -136,19 +155,12 @@ class TestForward:
 
     def test_desk_forward_node_count(self, monkeypatch):
         """Op nodes one forward builds at desk.cfg dimensions: the question
-        LSTM is one node, not 17 per word."""
-        config = load_config(Path(__file__).parents[1] / "configs" / "desk.cfg")
+        LSTM is one node, not 17 per word, each CMSA glimpse is one node, not
+        10 or 11, each conv with its ReLU is one, and so is the blend, not 11."""
+        config = load_config(CONFIGS / "desk.cfg")
         dc = config.data_config()
         vocab = build_vocabulary(dc)
-        built = []
-        node = tensor_module._node
-
-        def counting(*args):
-            built.append(args[-1])
-            return node(*args)
-
-        for module in (tensor_module, lstm_module):
-            monkeypatch.setattr(module, "_node", counting)
+        built = _record_ops(monkeypatch)
         VqaModel(config, vocab.size).forward(generate_vqa(0, 4, dc, vocab)["train"][0])
         counts = [len(built)]
         pretrain = generate_pretrain(0, 4, dc, vocab)
@@ -157,8 +169,108 @@ class TestForward:
             built.clear()
             model.forward(pretrain[type_id]["train"][0])
             counts.append(len(built))
-        assert counts == [72, 36, 38, 38]
+        assert counts == [33, 23, 25, 25]
         assert built.count("lstm_sequence") == 1
+        assert built.count("attention_glimpse") == 1
+
+    def test_gradcheck_objective_node_census(self, monkeypatch):
+        """Op nodes, by op, of one grad-check objective (forward and loss) at
+        configs/gradcheck.cfg dimensions, so a regression names the op."""
+        config = load_config(CONFIGS / "gradcheck.cfg")
+        dc = config.data_config()
+        vocab = build_vocabulary(dc)
+        sample = generate_vqa(config.seed, 4, dc, vocab)["train"][0]
+        model = VqaModel(config, vocab.size)
+        built = _record_ops(monkeypatch)
+        logits, gate, _ = model.forward(sample)
+        vqa_loss(logits, sample.answer_id, gate.logits, sample.type_id, config.alpha)
+        assert Counter(built) == {
+            "conv2d_relu": 7,            # the gate stem and 2 layers per backbone
+            "weighted_sum": 1,           # the blend
+            "attention_glimpse": 2,
+            "lstm_sequence": 1,
+            "rows": 2, "concat_last": 3,  # embedding lookup; the residual's two
+            "pointwise_channel_map": 4,  # gate projection, fuse projection, answer MLP
+            "mean_over_axes": 2, "reshape": 2, "softmax_rows": 1,  # gate pool and softmax
+            "broadcast_to": 1, "add": 3, "sum_over_axes": 1, "relu": 1,
+            "cross_entropy": 2, "scale": 1,
+        }
+        assert len(built) == 34
+
+
+def _batch_bits(model, losses) -> dict:
+    """Bytes of the mean loss over a batch and of every parameter gradient."""
+    params = model.params()
+    for p in params.values():
+        p.zero_grad()
+    total = losses[0]
+    for item in losses[1:]:
+        total = add(total, item)
+    total = scale(total, 1.0 / len(losses))
+    total.backward()
+    bits = {name: p.grad.tobytes() for name, p in params.items()}
+    bits["loss"] = total.data.tobytes()
+    return bits
+
+
+def _write_version1_bundle(arrays: dict, path) -> None:
+    """The bundle format before dtype codes: float64 entries only."""
+    header, payload = [b"CMTB", struct.pack("<II", 1, len(arrays))], b""
+    for name, arr in arrays.items():
+        arr, encoded = np.asarray(arr, "<f8"), name.encode("utf-8")
+        header += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim),
+                   struct.pack(f"<{arr.ndim}Q", *arr.shape), struct.pack("<Q", len(payload))]
+        payload += arr.tobytes()
+    path.write_bytes(b"".join(header) + struct.pack("<Q", len(payload)) + payload)
+
+
+class TestLayerNodes:
+    """A batch of three samples through the layer-level nodes gives the bits of
+    the primitive-op graphs they replace: loss and every parameter gradient,
+    where the gradients of q and v from the glimpses, the residual and the
+    heads meet."""
+
+    @staticmethod
+    def _compose(monkeypatch):
+        monkeypatch.setattr(model_module, "classify_type",
+                            layer_oracles.classify_type_composition)
+        monkeypatch.setattr(model_module, "backbone_forward", layer_oracles.backbone_composition)
+        monkeypatch.setattr(model_module, "blend", layer_oracles.blend_composition)
+        monkeypatch.setattr(fusion, "self_attention_pass",
+                            layer_oracles.self_attention_composition)
+
+    @pytest.mark.parametrize("glimpses, scaled", [(1, False), (2, False), (2, True), (3, False)])
+    def test_vqa_batch_matches_compositions(self, corpus, monkeypatch, glimpses, scaled):
+        config, vocab, vqa, _ = corpus
+        model = VqaModel(replace(config, glimpses=glimpses, scaled_attention=scaled), vocab.size)
+
+        def losses():
+            out = []
+            for s in vqa["train"][:3]:
+                logits, gate, _ = model.forward(s)
+                out.append(vqa_loss(logits, s.answer_id, gate.logits, s.type_id, 0.5)[0])
+            return out
+
+        fused = _batch_bits(model, losses())
+        self._compose(monkeypatch)
+        assert fused == _batch_bits(model, losses())
+
+    @pytest.mark.parametrize("type_id", [0, 1, 2])
+    def test_pretrain_batch_matches_compositions(self, corpus, monkeypatch, type_id):
+        config, vocab, _, pretrain = corpus
+        model = PretrainModel(config, vocab.size, type_id)
+
+        def losses():
+            out = []
+            for s in pretrain[type_id]["train"][:3]:
+                task_logits, com_logits = model.forward(s)
+                out.append(pretrain_loss(task_logits, s.task_target, com_logits,
+                                         s.compat_label)[0])
+            return out
+
+        fused = _batch_bits(model, losses())
+        self._compose(monkeypatch)
+        assert fused == _batch_bits(model, losses())
 
 
 class TestCheckpoints:
@@ -174,6 +286,27 @@ class TestCheckpoints:
         assert set(arrays) == set(params)
         for name in params:
             assert arrays[name].tobytes() == params[name].data.tobytes()
+
+    def test_version1_checkpoint_loads_and_echo_takes_a_byte_per_byte(self, corpus, tmp_path):
+        config, vocab, _, _ = corpus
+        params = VqaModel(config, vocab.size).params()
+        text = "seed = 0\nlr = 0.001  # é\n"
+        echo = text.encode("utf-8")
+        arrays = {name: t.data for name, t in params.items()}
+        arrays["__step__"] = np.array(7.0)
+        arrays["__config__"] = np.frombuffer(echo, np.uint8).astype(np.float64)
+        old = tmp_path / "v1.cmtb"
+        _write_version1_bundle(arrays, old)
+        new = tmp_path / "v2.cmtb"
+        save_checkpoint(params, 7, text, new)
+        for path in (old, new):
+            loaded, step, back = load_checkpoint(path)
+            assert (step, back) == (7, text)
+            assert {n: a.tobytes() for n, a in loaded.items()} == \
+                {n: t.data.tobytes() for n, t in params.items()}
+        assert read_bundle(new)["__config__"].nbytes == len(echo)
+        # a dtype code per entry, and 1 byte instead of 8 per echo byte
+        assert old.stat().st_size - new.stat().st_size == 7 * len(echo) - len(arrays)
 
     def test_restore_reproduces_forward_bitwise(self, corpus, tmp_path):
         config, vocab, vqa, _ = corpus

@@ -11,9 +11,11 @@ from cmvqa.numerics import (
     ShapeError,
     Tensor,
     add,
+    attention_glimpse,
     broadcast_to,
     concat_last,
     conv2d,
+    conv2d_relu,
     cross_entropy,
     grad_check,
     lstm_sequence,
@@ -33,6 +35,7 @@ from cmvqa.numerics import (
     tanh,
     transpose2d,
     upsample_nearest,
+    weighted_sum,
 )
 
 
@@ -417,7 +420,19 @@ OP_CASES = {
     "conv2d": lambda p, g: conv2d(p["img"], p["kern"], p["kb"], stride=2, padding=1),
     "upsample_nearest": lambda p, g: upsample_nearest(p["img"], 3),
     "lstm_sequence": lambda p, g: lstm_sequence(p["seq"], LstmParams(w=p["lstm_w"], b=p["lstm_b"])),
+    "conv2d_relu": lambda p, g: conv2d_relu(p["img"], p["kern"], p["kb"], stride=2, padding=1),
+    "weighted_sum": lambda p, g: weighted_sum(p["mix"], [p["a"], p["b"], p["c"]]),
+    "attention_glimpse": lambda p, g: attention_glimpse(p["att_map"], _glimpse_weights(p))[0],
+    "attention_glimpse[factors, pooled, scaled]": lambda p, g: attention_glimpse(
+        (p["att_v"], p["att_s"], p["att_words"]), _glimpse_weights(p), scaled=True, pool=True)[0],
 }
+
+
+GLIMPSE_WEIGHTS = ("aq_w", "aq_b", "ak_w", "ak_b", "av_w", "av_b", "ao_w", "ao_b")
+
+
+def _glimpse_weights(p) -> list:
+    return [p[k] for k in GLIMPSE_WEIGHTS]
 
 
 def _op_inputs(gen) -> dict:
@@ -441,6 +456,15 @@ def _op_inputs(gen) -> dict:
         "seq": Tensor(gen.standard_normal((4, 2)), requires_grad=True),
         "lstm_w": Tensor(gen.standard_normal((5, 12)) * 0.5, requires_grad=True),
         "lstm_b": Tensor(gen.standard_normal(12), requires_grad=True),
+        "mix": Tensor(gen.standard_normal(3), requires_grad=True),
+        "c": Tensor(gen.standard_normal((2, 3)), requires_grad=True),
+        "att_map": Tensor(gen.standard_normal((2, 2, 2, 4)), requires_grad=True),
+        "att_v": Tensor(gen.standard_normal((2, 2, 1)), requires_grad=True),
+        "att_s": Tensor(gen.standard_normal((2, 2, 1)), requires_grad=True),
+        "att_words": Tensor(gen.standard_normal((2, 2)), requires_grad=True),
+        **{name: Tensor(gen.standard_normal(shape), requires_grad=True) for name, shape in (
+            ("aq_w", (4, 3)), ("aq_b", (3,)), ("ak_w", (4, 3)), ("ak_b", (3,)),
+            ("av_w", (4, 3)), ("av_b", (3,)), ("ao_w", (3, 4)), ("ao_b", (4,)))},
     }
 
 
@@ -498,6 +522,11 @@ def _touches(op_name: str, key: str) -> bool:
         "conv2d": {"img", "kern", "kb"},
         "upsample_nearest": {"img"},
         "lstm_sequence": {"seq", "lstm_w", "lstm_b"},
+        "conv2d_relu": {"img", "kern", "kb"},
+        "weighted_sum": {"mix", "a", "b", "c"},
+        "attention_glimpse": {"att_map", *GLIMPSE_WEIGHTS},
+        "attention_glimpse[factors, pooled, scaled]": {"att_v", "att_s", "att_words",
+                                                       *GLIMPSE_WEIGHTS},
     }
     return key in needed[op_name]
 
@@ -583,6 +612,23 @@ def test_conv2d_bit_identical_to_pad_reference(gen, shape, stride, padding):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 4), (4, 4), (5, 5)])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2), (4, 0)])
+def test_conv2d_bit_identical_to_pad_reference_for_other_kernels(gen, kernel, stride, padding):
+    """The col2im that adds taps sharing a block offset at once, for kernels
+    narrower and wider than the stride."""
+    x = Tensor(gen.standard_normal((9, 11, 2)), requires_grad=True)
+    w = Tensor(gen.standard_normal(kernel + (2, 3)), requires_grad=True)
+    b = Tensor(gen.standard_normal(3), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, padding=padding)
+    g = gen.standard_normal(out.shape)
+    sum_over_axes(mul(out, Tensor(g)), (0, 1, 2)).backward()
+    ref = _conv2d_pad_reference(x.data, w.data, b.data, g, stride, padding)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_conv2d_skips_input_gradient_of_constant_input():
     """An input that needs no gradient (the raw image) gets None, and the
     weight and bias gradients are the same bits as with a tracked input."""
@@ -599,6 +645,41 @@ def test_conv2d_skips_input_gradient_of_constant_input():
     assert grads[0] == grads[1]
 
 
+@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 0), (1, 1), (3, 1)])
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "raw"])
+def test_conv2d_relu_bit_identical_to_conv2d_then_relu(gen, stride, padding, tracked):
+    """Three inputs sharing the kernel: value and every gradient, with the
+    input's gradient skipped for an input that needs none."""
+    xs = [Tensor(gen.standard_normal((8, 7, 3)), requires_grad=tracked) for _ in range(3)]
+    w = Tensor(gen.standard_normal((3, 3, 3, 5)), requires_grad=True)
+    b = Tensor(gen.standard_normal(5), requires_grad=True)
+
+    def bits(layer):
+        outs = [layer(x, w, b, stride=stride, padding=padding) for x in xs]
+        total = None
+        for out in outs:
+            term = sum_over_axes(mul(out, Tensor(np.cos(np.arange(out.size)).reshape(out.shape))),
+                                 (0, 1, 2))
+            total = term if total is None else add(total, term)
+        for t in [w, b] + xs:
+            t.zero_grad()
+        total.backward()
+        return [o.data.tobytes() for o in outs] + [
+            None if t.grad is None else t.grad.tobytes() for t in [w, b] + xs]
+
+    fused = bits(conv2d_relu)
+    assert fused == bits(lambda *args, **kw: relu(conv2d(*args, **kw)))
+    assert (fused[-1] is None) == (not tracked)
+
+
+def test_attention_glimpse_rejects_mismatched_weights():
+    x = Tensor(np.zeros((2, 1, 1, 4)))
+    weights = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (4, 2), (2,), (4, 3), (2,),
+                                                      (2, 4), (4,))]
+    with pytest.raises(ShapeError, match="attention_glimpse weights"):
+        attention_glimpse(x, weights)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("op_name,build", [
     ("add", lambda t: add(t, Tensor(np.ones(t.shape)))),
@@ -608,6 +689,15 @@ def test_conv2d_skips_input_gradient_of_constant_input():
     ("slice_last", lambda t: slice_last(t, 0, 3)),
     ("conv2d", lambda t: conv2d(Tensor(t.data.reshape(2, 3, 1)), Tensor(np.ones((1, 1, 1, 1))),
                                 Tensor(np.zeros(1)), stride=1, padding=0)),
+    # checked before the ReLU, which maps NaN and -inf to 0
+    ("conv2d_relu", lambda t: conv2d_relu(Tensor(t.data.reshape(2, 3, 1)),
+                                          Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)),
+                                          stride=1, padding=0)),
+    ("weighted_sum", lambda t: weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones(t.shape)), t])),
+    ("attention_glimpse", lambda t: attention_glimpse(
+        Tensor(t.data.reshape(2, 1, 1, 3)),
+        [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,), (3, 1), (1,),
+                                              (1, 3), (3,))])[0]),
 ])
 def test_non_finite_output_names_the_op(op_name, build, bad):
     x = np.arange(6.0).reshape(2, 3)

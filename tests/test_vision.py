@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cmvqa.numerics import Rng, ShapeError, Tensor, grad_check, mul, sum_over_axes
+from cmvqa.numerics import Rng, ShapeError, Tensor, add, grad_check, mul, sum_over_axes
 from cmvqa.vision import (
     TypeGate,
     backbone_forward,
@@ -12,6 +12,12 @@ from cmvqa.vision import (
     init_backbone,
     init_type_classifier,
     spatial_map,
+)
+from layer_oracles import (
+    backbone_composition,
+    blend_composition,
+    classify_type_composition,
+    spatial_map_loops,
 )
 
 
@@ -103,6 +109,34 @@ class TestBlend:
             direct = w[0] * v_a.data[idx] + w[1] * v_h.data[idx] + w[2] * v_c.data[idx]
             assert abs(out[idx] - direct) < 1e-12
 
+    def test_bit_identical_to_composition_with_a_dead_encoder(self, gen):
+        """Three blends sharing the gate weights, one encoder all zeros under
+        negative loss weights, so every term of its weight's gradient is -0.0."""
+        w = Tensor(np.array([0.2, 0.5, 0.3]), requires_grad=True)
+        gate = TypeGate(logits=w, w=w)
+        batch = []
+        for _ in range(3):
+            v_a, _, v_c = self._features(gen)
+            parts = (v_a, Tensor(np.zeros((2, 2, 3))), v_c)
+            for t in parts:
+                t.requires_grad = True
+            batch.append((parts, Tensor(-np.abs(gen.standard_normal((2, 2, 3))))))
+
+        def bits(combine):
+            total = None
+            for parts, coeffs in batch:
+                term = sum_over_axes(mul(combine(*parts, gate), coeffs), (0, 1, 2))
+                total = term if total is None else add(total, term)
+            leaves = [w] + [t for parts, _ in batch for t in parts]
+            for leaf in leaves:
+                leaf.zero_grad()
+            total.backward()
+            return [total.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+        fused = bits(blend)
+        assert fused == bits(blend_composition)
+        assert np.signbit(w.grad[1]) == 0.0 and w.grad[1] == 0.0
+
     def test_shape_mismatch(self, gen):
         v_a, v_h, _ = self._features(gen)
         with pytest.raises(ShapeError):
@@ -140,6 +174,11 @@ class TestSpatialMap:
         assert (np.diff(s[0, :, 0]) > 0).all()  # x_tl increases along a row
         assert (np.diff(s[:, 0, 1]) > 0).all()  # y_tl increases down a column
         assert np.allclose(s[0, :, 1], -1.0)    # y_tl constant across a row
+
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 7, 12, 14, 56])
+    def test_bit_identical_to_cell_loops(self, g):
+        assert spatial_map(g).data.tobytes() == spatial_map_loops(g).data.tobytes()
 
 
 class TestEncodeImage:
@@ -189,3 +228,33 @@ class TestEncodeImage:
         v = blend(v_a, v_h, v_c, gate)
         assert v_a.shape == v_h.shape == v_c.shape == v.shape
         assert gate.w.shape == (3,)
+
+    def test_batch_of_three_bit_identical_to_compositions(self, gen):
+        """Gate, backbones and blend on three images sharing the parameters:
+        one conv2d_relu node per layer and one weighted_sum node give the
+        value and every gradient of the conv2d, relu, slice, broadcast, mul
+        and add nodes they replace, the last image tracked to a gradient."""
+        rng = Rng(5)
+        backbones = [init_backbone(rng.child(name).gen, 16, 1, 2, 6)
+                     for name in ("abdomen", "head", "chest")]
+        gate_params = init_type_classifier(rng.child("gate").gen, 1)
+        images = [Tensor(gen.standard_normal((16, 16, 1)), requires_grad=i == 2)
+                  for i in range(3)]
+        coeffs = [Tensor(gen.standard_normal((2, 2, 6))) for _ in images]
+        leaves = [gate_params.stem.weight, gate_params.stem.bias, gate_params.proj_w,
+                  gate_params.proj_b, images[2]]
+        leaves += [t for bb in backbones for layer in bb.layers for t in (layer.weight, layer.bias)]
+
+        def bits(classify, encode, combine):
+            total = None
+            for image, c in zip(images, coeffs):
+                v = combine(*(encode(image, bb) for bb in backbones), classify(image, gate_params))
+                term = sum_over_axes(mul(v, c), (0, 1, 2))
+                total = term if total is None else add(total, term)
+            for leaf in leaves:
+                leaf.zero_grad()
+            total.backward()
+            return [total.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+        assert bits(classify_type, backbone_forward, blend) == bits(
+            classify_type_composition, backbone_composition, blend_composition)
