@@ -14,6 +14,7 @@ payload in bytes.  Round trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import Dict
@@ -102,9 +103,13 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
 
     entries = []
     seen = set()
-    for _ in range(count):
+    for index in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        raw_name = bytes(take(name_len))
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise BundleError(f"entry {index} has a name that is not UTF-8: {raw_name!r}") from err
         if name in seen:
             raise BundleError(f"duplicate tensor name {name!r}")
         seen.add(name)
@@ -125,9 +130,13 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
 
     out = {}
     for name, code, shape, offset in entries:
-        nbytes = (1 if code else 8) * int(np.prod(shape, dtype=np.int64))
+        nbytes = (1 if code else 8) * math.prod(shape)
         if offset + nbytes > payload_len:
             raise BundleError(f"entry {name!r} overruns payload")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=DTYPES[code]).reshape(shape)
-        out[name] = arr.copy() if code else arr.astype(np.float64).copy()
+        try:
+            arr = np.frombuffer(payload[offset : offset + nbytes], DTYPES[code]).reshape(shape)
+        except ValueError as err:   # a zero-size shape numpy cannot hold
+            raise BundleError(f"entry {name!r} has shape {shape}: {err}") from err
+        # astype copies, so each array owns its memory
+        out[name] = arr.copy() if code else arr.astype(np.float64)
     return out

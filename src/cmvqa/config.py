@@ -76,7 +76,7 @@ class RunConfig(DataConfig):
 
     def validate(self) -> None:
         for key in ("steps", "pretrain_steps", "batch_size", "pretrain_batch", "log_every",
-                    "image_size", "grid", "c_v", "d_q", "l_w", "glimpses"):
+                    "image_size", "grid", "c_v", "d_q", "l_w", "glimpses", "n_vqa", "n_pretrain"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.d_emb < 2:
@@ -106,6 +106,8 @@ class RunConfig(DataConfig):
         for key, fractions, read in (("n_vqa", self.vqa_fractions(), {"train", self.eval_split}),
                                      ("n_pretrain", PRETRAIN_SPLITS, {"train", "val"})):
             n = getattr(self, key)
+            if n > 2 ** 53:   # a split's share of n is a float product
+                raise ConfigError(f"{key} must be at most 2**53, got {n}")
             empty = " and ".join(sorted(s for s in read if not split_sizes(n, fractions)[s]))
             if empty:
                 raise ConfigError(f"{key} = {n} leaves the {empty} split empty")

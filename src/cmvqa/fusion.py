@@ -7,12 +7,15 @@ maps A V back to the F width.  A single residual from the original F feeds
 the mean-pool over the grid, and a final affine map produces one D_q row
 per word.
 
-Each glimpse is one autodiff node, ``numerics.attention_glimpse``.  The fuse
-never builds F: glimpse 0 maps its factors (v, s, q) directly, the residual's
-grid mean is [mean v | mean s | q_i], and ``CmsaState.f`` is lazy.  Only the
-grid mean of the last glimpse's output is read, so that glimpse runs pooled:
-its attention rows are averaged over each word's grid cells before they meet
-V, and V's map and the out map act on those L_w rows.
+The fuse never builds F or any map over the N positions.  F has rank at most
+r = L_w + G*G (one row per word, one per cell), and it is held as the pair
+(B, Phi) with F = [B | 1] Phi: glimpse 0 starts from the constant one-hot B_0
+and ``numerics.factor_rows``.  A glimpse keeps that form, because its maps are
+affine and A's rows sum to 1: A [B | 1] Phi W = [A B | 1] (Phi W).  So each
+glimpse is two nodes, ``attention_glimpse`` (B -> A B) and ``glimpse_values``
+(Phi -> Phi'), whose affine maps act on r + 1 rows.  Only the grid mean of the
+last glimpse's output is read, so that glimpse returns P A B, P averaging each
+word's rows, and ``factor_readout`` adds the residual and projects.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from .numerics import (
     ShapeError,
     Tensor,
-    add,
     attention_glimpse,
     broadcast_to,
     concat_last,
-    mean_over_axes,
-    pointwise_channel_map,
+    factor_readout,
+    factor_rows,
+    glimpse_values,
     reshape,
     uniform_init,
     zeros_param,
@@ -85,12 +90,12 @@ class CmsaParams:
 
 @dataclass
 class CmsaState:
-    """Intermediate values of one fuse pass, inspectable by tests."""
+    """Intermediate values of one fuse pass, inspectable by tests.  F and each
+    glimpse's Q, K and V, each (N, qkv), are built from the stored factors on
+    every read, so read them before the parameters change."""
 
     inputs: tuple = None  # (v, s, q, config) of the fuse; f builds F from them
-    q: List[Tensor] = field(default_factory=list)
-    k: List[Tensor] = field(default_factory=list)
-    v: List[Tensor] = field(default_factory=list)  # (N, qkv), only for glimpses that build V
+    factors: list = field(default_factory=list)  # (B, Phi, GlimpseParams) per glimpse
     a: List[Tensor] = field(default_factory=list)  # (N, N), one per glimpse
     f_prime: Tensor = None  # last glimpse's output pooled over the grid, (L_w, D_f)
     f_hat: Tensor = None
@@ -98,6 +103,18 @@ class CmsaState:
     @property
     def f(self) -> Tensor:
         return build_multimodal_map(*self.inputs)
+
+    def _maps(self, name: str) -> List[Tensor]:
+        out = []
+        for b, phi, params in self.factors:
+            rows = phi.data @ getattr(params, f"{name}_w").data
+            rows[-1] += getattr(params, f"{name}_b").data
+            out.append(Tensor((rows[:-1] if b is None else b.data @ rows[:-1]) + rows[-1]))
+        return out
+
+    q = property(lambda self: self._maps("q"))
+    k = property(lambda self: self._maps("k"))
+    v = property(lambda self: self._maps("v"))
 
 
 def init_cmsa(gen, config: CmsaConfig) -> CmsaParams:
@@ -138,49 +155,50 @@ def build_multimodal_map(v: Tensor, s: Tensor, q: QuestionEmbedding,
                         broadcast_to(reshape(q.q, (l_w, 1, 1, d_q)), (l_w, g, g, d_q))])
 
 
-def self_attention_pass(f_in: Tensor | tuple, params: GlimpseParams, config: CmsaConfig,
-                        collect: CmsaState = None, pool: bool = False) -> Tensor:
-    """One glimpse over an (L_w, G, G, D_f) map or over F's factor triple
-    (v, s, q): Q/K/V maps, row-softmax attention over all positions, map back.
+def one_hot_basis(config: CmsaConfig) -> Tensor:
+    """B_0: row (i, r, c) is one-hot at word i and at cell L_w + r G + c."""
+    l_w, cells = config.l_w, config.g * config.g
+    pos = np.arange(l_w * cells)
+    b = np.zeros((l_w * cells, l_w + cells))
+    b[pos, pos // cells] = 1.0
+    b[pos, l_w + pos % cells] = 1.0
+    return Tensor(b)
 
-    With ``pool`` the (L_w, D_f) mean of the output over each word's grid is
-    returned instead. P, the (L_w, N) matrix averaging each word's G*G rows,
-    is applied to A first: P A V W_out + b equals the mean of A V W_out + b
-    because PA's rows sum to 1 like A's. A map input X then goes through V's
-    map only as the L_w rows (P A) X; V is never built."""
-    l_w, g, d_f = config.l_w, config.g, config.d_f
-    if isinstance(f_in, tuple):
-        _check_factors(*f_in, config)
-    elif f_in.shape != (l_w, g, g, d_f):
-        raise ShapeError(f"F {f_in.shape}, expected {(l_w, g, g, d_f)}")
-    weights = (params.q_w, params.q_b, params.k_w, params.k_b, params.v_w, params.v_b,
-               params.out_w, params.out_b)
-    out, (q, k, v, a) = attention_glimpse(f_in, weights, config.scaled_attention, pool)
+
+def self_attention_pass(pair: tuple, params: GlimpseParams, config: CmsaConfig,
+                        collect: CmsaState = None, pool: bool = False) -> tuple:
+    """One glimpse over F = [B | 1] Phi, given as the pair (B, Phi) (B None for
+    the identity): Q/K/V maps, row-softmax attention over all positions, map
+    back.  Returns the output's pair (A B, Phi').
+
+    With ``pool`` the pair is (P A B, Phi'), whose map is the (L_w, D_f) mean of
+    the output over each word's grid: PA's rows sum to 1 like A's."""
+    b, phi = pair
+    rows, a = attention_glimpse(b, phi, (params.q_w, params.q_b, params.k_w, params.k_b),
+                                config.scaled_attention, config.l_w if pool else 0)
+    phi_out = glimpse_values(phi, (params.v_w, params.v_b, params.out_w, params.out_b))
     if collect is not None:
-        collect.q.append(Tensor(q))
-        collect.k.append(Tensor(k))
-        if v is not None:
-            collect.v.append(Tensor(v))
+        collect.factors.append((b, phi, params))
         collect.a.append(Tensor(a))
-    return out
+    return rows, phi_out
 
 
 def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,
               config: CmsaConfig):
     """Full fusion: glimpses in sequence, one residual from F, mean-pool, project.
     The last glimpse returns its output already pooled over the grid."""
+    _check_factors(v, s, q.q, config)
     state = CmsaState(inputs=(v, s, q, config))
-    f_prime = (v, s, q.q)
+    b0, phi0 = one_hot_basis(config), factor_rows(v, s, q.q)
+    pair = (b0, phi0)
     last = len(params.glimpses) - 1
     for i, glimpse in enumerate(params.glimpses):
-        f_prime = self_attention_pass(f_prime, glimpse, config, collect=state, pool=i == last)
+        pair = self_attention_pass(pair, glimpse, config, collect=state, pool=i == last)
 
-    # mean over the grid of F is [mean v | mean s | q_i] for word i
-    grid_mean = mean_over_axes(concat_last([v, s]), (0, 1))
-    f_mean = concat_last([broadcast_to(grid_mean, (config.l_w, config.c_v + 8)), q.q])
-    pooled = add(f_prime, f_mean)     # (L_w, D_f)
-    f_hat = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
-
-    state.f_prime = f_prime
+    # the residual's grid mean P F = [P B_0 | 1] Phi_0 is [mean v | mean s | q_i]
+    cells = config.g * config.g
+    pooled_basis = Tensor(np.add.reduce(b0.data.reshape(config.l_w, cells, -1), axis=1) / cells)
+    f_hat, f_prime = factor_readout([pair, (pooled_basis, phi0)], params.proj_w, params.proj_b)
+    state.f_prime = Tensor(f_prime)
     state.f_hat = f_hat
     return f_hat, state

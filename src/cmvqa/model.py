@@ -68,15 +68,8 @@ def _register_backbone(params: Dict[str, Tensor], prefix: str, bb: BackboneParam
 
 def _register_cmsa(params: Dict[str, Tensor], prefix: str, cmsa: CmsaParams) -> None:
     for i, gl in enumerate(cmsa.glimpses):
-        base = f"{prefix}/glimpse{i}"
-        params[f"{base}/q_w"] = gl.q_w
-        params[f"{base}/q_b"] = gl.q_b
-        params[f"{base}/k_w"] = gl.k_w
-        params[f"{base}/k_b"] = gl.k_b
-        params[f"{base}/v_w"] = gl.v_w
-        params[f"{base}/v_b"] = gl.v_b
-        params[f"{base}/out_w"] = gl.out_w
-        params[f"{base}/out_b"] = gl.out_b
+        for name, tensor in vars(gl).items():   # q_w, q_b, k_w, k_b, v_w, v_b, out_w, out_b
+            params[f"{prefix}/glimpse{i}/{name}"] = tensor
     params[f"{prefix}/proj_w"] = cmsa.proj_w
     params[f"{prefix}/proj_b"] = cmsa.proj_b
 

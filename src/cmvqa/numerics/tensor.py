@@ -254,22 +254,6 @@ def weighted_sum(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Plain 2-D matrix product; inner extents must agree."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-    return _node(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose2d needs a rank-2 tensor, got {a.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose2d")
-
-
 def pointwise_channel_map(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map over the last axis, applied independently at every position.
 
@@ -303,43 +287,6 @@ def _affine_back(x2: np.ndarray, weight: np.ndarray, g: np.ndarray):
     g2 = g.reshape(-1, c_out)
     gx = g.reshape(x2.shape[:-1] + (c_out,)) @ weight.T
     return gx, x2.reshape(-1, c_in).T @ g2, g2.sum(axis=0)
-
-
-def multimodal_channel_map(grid: Tensor, words: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """pointwise_channel_map over F[i, r, c] = [grid[r, c] | words[i]] as an
-    (L * G * G, C_out) matrix in (i, r, c) row order, without building F: the
-    grid (G, G, C_g) and the words (L, D) are mapped by their rows of the weight
-    and added, and the backward takes row and column sums of the gradient."""
-    if grid.data.ndim != 3 or words.data.ndim != 2 or weight.data.ndim != 2 or \
-            weight.shape[0] != grid.shape[2] + words.shape[1] or bias.shape != weight.shape[1:]:
-        raise ShapeError(f"multimodal_channel_map shapes: grid {grid.shape}, words "
-                         f"{words.shape}, weight {weight.shape}, bias {bias.shape}")
-    cells = grid.data.reshape(-1, grid.shape[2])
-    data = _multimodal(cells, words.data, weight.data, bias.data)
-
-    def back(g: np.ndarray):
-        g_cell, g_word, gw, gb = _multimodal_back(cells, words.data, weight.data, g)
-        return g_cell.reshape(grid.shape), g_word, gw, gb
-
-    return _node(data, (grid, words, weight, bias), back, "multimodal_channel_map")
-
-
-def _multimodal(cells: np.ndarray, words: np.ndarray, weight: np.ndarray,
-                bias: np.ndarray) -> np.ndarray:
-    """multimodal_channel_map's value from the (G * G, C_g) cells and (L, D) words."""
-    k = cells.shape[1]
-    return ((words @ weight[k:] + bias)[:, None] + cells @ weight[:k]).reshape(-1, weight.shape[1])
-
-
-def _multimodal_back(cells: np.ndarray, words: np.ndarray, weight: np.ndarray, g: np.ndarray):
-    """Gradients (cells, words, weight, bias) of ``_multimodal``."""
-    k, c_out = cells.shape[1], weight.shape[1]
-    g3 = g.reshape(words.shape[0], -1, c_out)
-    g_cell, g_word = g3.sum(axis=0), g3.sum(axis=1)
-    gw = np.empty(weight.shape)   # both products written in place, no concatenated copy
-    np.matmul(cells.T, g_cell, out=gw[:k])
-    np.matmul(words.T, g_word, out=gw[k:])
-    return g_cell @ weight[:k].T, g_word @ weight[k:].T, gw, g_word.sum(axis=0)
 
 
 # -- shape plumbing ----------------------------------------------------------
@@ -525,16 +472,6 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 # -- convolution / resampling ------------------------------------------------
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: int = 1) -> Tensor:
-    """2-D convolution on a single (H, W, C_in) map.
-
-    weight: (kh, kw, C_in, C_out), bias: (C_out,). Output spatial size is
-    (H + 2*padding - kh) // stride + 1 per side.
-    """
-    data, back = _conv2d(x, weight, bias, stride, padding)
-    return _node(data, (x, weight, bias), back, "conv2d")
-
-
 def conv2d_relu(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2,
                 padding: int = 1) -> Tensor:
     """relu(conv2d(x, weight, bias, stride, padding)) as one node, with the
@@ -607,123 +544,165 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     return _node(data, (x,), back, "upsample_nearest")
 
 
-# -- attention ------------------------------------------------------------------
+# -- attention in factor form --------------------------------------------------
+#
+# A glimpse's input is a map F = [B | 1] Phi over N positions, held as the pair
+# (B, Phi): B is (N, r) and Phi is (r + 1, D), its last row the constant row.
+# B None stands for the identity (r = N), which holds any map X as Phi = [X; 0].
+# A channel map of F is [B | 1] (Phi W + e b^T), e the last unit row, so every
+# affine map runs on the r + 1 rows of Phi and never on N rows.
 
 
-def attention_glimpse(f_in: Tensor | tuple, weights: Sequence[Tensor], scaled: bool = False,
-                      pool: bool = False) -> tuple[Tensor, tuple]:
-    """One self-attention glimpse as one node: Q/K/V channel maps, attention
-    A = softmax_rows(Q K^T) over all N positions, and the out map of A V.
+def _rows_affine(phi: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Phi W + e b^T: the factor of [B | 1] Phi mapped by (W, b)."""
+    out = phi @ weight
+    out[-1] += bias
+    return out
 
-    ``f_in`` is an (L, G, G, D) map, or the factor triple (v, s, q) of the map
-    F[i, r, c] = [v[r, c] | s[r, c] | q[i]], read as multimodal_channel_map
-    does.  ``weights`` is (q_w, q_b, k_w, k_b, v_w, v_b, out_w, out_b), and
-    ``scaled`` divides the logits by sqrt(qkv).  The output is (L, G, G, D),
-    or with ``pool`` its (L, D) mean over each word's G * G positions: A's rows
-    are averaged per word before they meet V, and a map input X meets V's
-    map only as those L rows times X, so V is not built.
 
-    Returns the node and the arrays (q, k, v, a), v None where V is not built.
-    Values and gradients equal those of the primitive ops' graph bit for bit:
-    the backward runs their backward expressions in the order the sweep took.
-    """
+def _rows_affine_back(phi: np.ndarray, weight: np.ndarray, g: np.ndarray):
+    """Gradients (Phi, W, b) of ``_rows_affine``."""
+    return g @ weight.T, phi.T @ g, g[-1]
+
+
+def _with_ones(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """[B | 1] M, with B None for the identity."""
+    return (m[:-1] if b is None else b @ m[:-1]) + m[-1]
+
+
+def attention_glimpse(b: Tensor | None, phi: Tensor, weights: Sequence[Tensor],
+                      scaled: bool = False, pool: int = 0) -> tuple[Tensor, np.ndarray]:
+    """The attention of one glimpse over F = [B | 1] Phi as one node:
+    Q = [B | 1] (Phi W_q + e b_q^T), K likewise, A = softmax_rows(Q K^T), and
+    the output A B, or with ``pool`` = L the (L, r) P A B, P averaging A's
+    rows over L equal consecutive groups.  As A's rows sum to 1, the output
+    map A F' is [A B | 1] Phi', with Phi' from ``glimpse_values``.
+
+    The logits are [B | 1] M B_c^T, M of shape (r + 1, r), so neither Q nor K
+    is built.  K's part that is equal at every position shifts each row of the
+    logits by a constant, which the softmax cancels, so the key side drops it:
+    B_c is B less its mean row, K's constant row is left out, and b_k gets a
+    zero gradient.  Leaving out that cancellation keeps digits a nearly uniform
+    attention would lose.  ``weights`` is (q_w, q_b, k_w, k_b); ``scaled``
+    divides the logits by sqrt(qkv).  Returns the node and A."""
     op = "attention_glimpse"
-    q_w, q_b, k_w, k_b, v_w, v_b, out_w, out_b = weights
+    q_w, q_b, k_w, k_b = weights
     d_f, qkv = q_w.shape
-    if any(w.shape != (d_f, qkv) for w in (k_w, v_w)) or out_w.shape != (qkv, d_f) or \
-            any(b.shape != (qkv,) for b in (q_b, k_b, v_b)) or out_b.shape != (d_f,):
+    r = phi.shape[0] - 1
+    n = r if b is None else b.shape[0]
+    if k_w.shape != (d_f, qkv) or q_b.shape != (qkv,) or k_b.shape != (qkv,):
         raise ShapeError(f"{op} weights {[w.shape for w in weights]}")
-    factors = isinstance(f_in, tuple)
-    if factors:
-        v_in, s_in, words = f_in
-        grid = np.concatenate([v_in.data, s_in.data], axis=-1)
-        if grid.ndim != 3 or words.data.ndim != 2 or grid.shape[2] + words.shape[1] != d_f:
-            raise ShapeError(f"{op} factors {v_in.shape}, {s_in.shape}, {words.shape}, D = {d_f}")
-        cells = grid.reshape(-1, grid.shape[2])
-        out_shape = (words.shape[0],) + grid.shape[:2] + (d_f,)
-        parents = (v_in, s_in, words, words, words)   # the words feed three maps
-
-        def channel_map(w: Tensor, b: Tensor) -> np.ndarray:
-            return _multimodal(cells, words.data, w.data, b.data)
-    else:
-        if f_in.data.ndim != 4 or f_in.shape[3] != d_f:
-            raise ShapeError(f"{op} map {f_in.shape} for D = {d_f}")
-        x = f_in.data.reshape(-1, d_f)
-        out_shape, parents = f_in.shape, (f_in,)
-
-        def channel_map(w: Tensor, b: Tensor) -> np.ndarray:
-            return x @ w.data + b.data
-
-    l_w = out_shape[0]
-    q = _checked(channel_map(q_w, q_b), op, "q map")
-    k = _checked(channel_map(k_w, k_b), op, "k map")
-    v = None if pool and not factors else _checked(channel_map(v_w, v_b), op, "v map")
-    # transpose2d's copy: BLAS rounds a product by the layout of its operands
-    k_t = k.T.copy()
-    logits = q @ k_t
+    if phi.data.ndim != 2 or phi.shape[1] != d_f or r < 1 or \
+            (b is not None and b.shape[1:] != (r,)) or (pool and n % pool):
+        raise ShapeError(f"{op} factors {None if b is None else b.shape} and {phi.shape}, "
+                         f"D = {d_f}, pooled over {pool}")
+    bd = None if b is None else b.data
+    bc = None if bd is None else bd - np.add.reduce(bd, axis=0) / n
+    phi_q = _checked(_rows_affine(phi.data, q_w.data, q_b.data), op, "q map")
+    phi_k = _checked(phi.data[:-1] @ k_w.data, op, "k map")
+    m = phi_q @ phi_k.T
     if scaled:
         c = 1.0 / np.sqrt(qkv)
-        logits = logits * c
-    _checked(logits, op, "attention logits overflowed; consider enabling scaled_attention")
+        m = m * c
+    overflow = "attention logits overflowed; consider enabling scaled_attention"
+    t = _with_ones(bd, _checked(m, op, overflow))     # [B | 1] M, (N, r)
+    # the identity's B_c = I - 1 1^T / N would shift each row by a constant
+    logits = _checked(t if bd is None else t @ bc.T, op, overflow)
     a = _checked(_softmax(logits), op, "attention")
-    del logits
-    n = a.shape[0]
-    per_word = n // l_w
-    if not pool:
-        mid = _checked(a @ v, op, "A V")
-        out = (mid @ out_w.data + out_b.data).reshape(out_shape)
-    else:
-        a_bar = _checked(np.add.reduce(a.reshape(l_w, per_word, n), axis=(1,)) / per_word,
-                         op, "pooled attention")
-        if v is None:
-            x_bar = _checked(a_bar @ x, op, "pooled input")
-            mid = _checked(x_bar @ v_w.data + v_b.data, op, "v map")
-        else:
-            mid = _checked(a_bar @ v, op, "pooled A V")
-        out = mid @ out_w.data + out_b.data
+    del t, logits
+    per = n // pool if pool else 1
+    rows = np.add.reduce(a.reshape(pool, per, n), axis=1) / per if pool else a
+    out = rows if bd is None else rows @ bd
 
     def back(g: np.ndarray):
-        g_in = None   # the gradient of the map input, or of the grid cells
-        g_params = []
+        g_a = g if bd is None else g @ bd.T
         if pool:
-            g, g_ow, g_ob = _affine_back(mid, out_w.data, g)
-            if v is None:
-                g, g_vw, g_vb = _affine_back(x_bar, v_w.data, g)
-                g_in, g = a_bar.T @ g, g @ x.T
-            else:
-                g_v, g = a_bar.T @ g, g @ v.T
-            g = (np.broadcast_to(g.reshape(l_w, 1, n), (l_w, per_word, n)) / per_word).reshape(n, n)
-        else:
-            g, g_ow, g_ob = _affine_back(mid, out_w.data, g.reshape(n, d_f))
-            g_v, g = a.T @ g, g @ v.T
-        g = _softmax_back(a, g)
+            g_a = np.repeat(g_a / per, per, axis=0)
+        g_l = _softmax_back(a, g_a)
+        del g_a
+        # u = g_L B_c; the gradient of M is [B | 1]^T u
+        u = g_l - np.add.reduce(g_l, axis=1, keepdims=True) / n if bd is None else g_l @ bc
+        g_m = np.vstack([u if bd is None else bd.T @ u, np.add.reduce(u, axis=0, keepdims=True)])
+        g_b = None
+        if b is not None and b.requires_grad:
+            g_bc = np.hstack([g_l.T @ bd, g_l.sum(axis=0)[:, None]]) @ m   # g_L^T [B | 1] M
+            g_b = rows.T @ g + u @ m[:-1].T + (g_bc - np.add.reduce(g_bc, axis=0) / n)
+        del g_l, u
         if scaled:
-            g = g * c
-        # the maps' backwards in the sweep's order, Q's first; each map's
-        # gradient is dropped once used, as the sweep pops it
-        maps = [(q_w, g @ k_t.T), (k_w, (q.T @ g).T)] + ([(v_w, g_v)] if v is not None else [])
-        g = g_v = None   # maps holds the only references
-        g_words = []
-        while maps:
-            w, g_map = maps.pop(0)
-            if factors:
-                g_term, g_word, g_w, g_b = _multimodal_back(cells, words.data, w.data, g_map)
-                g_words.append(g_word)
-            else:
-                g_term, g_w, g_b = _affine_back(x, w.data, g_map)
-            g_in = g_term if g_in is None else g_in + g_term
-            del g_map, g_term
-            g_params += [g_w, g_b]
-        if v is None:
-            g_params += [g_vw, g_vb]
-        g_params += [g_ow, g_ob]
-        if not factors:
-            return (g_in.reshape(f_in.shape), *g_params)
-        g_in = g_in.reshape(grid.shape)
-        c_v = v_in.shape[2]
-        return (g_in[..., :c_v], g_in[..., c_v:], *g_words, *g_params)
+            g_m = g_m * c
+        g_phi, g_qw, g_qb = _rows_affine_back(phi.data, q_w.data, g_m @ phi_k)
+        g_phi_k = g_m.T @ phi_q
+        g_phi[:-1] += g_phi_k @ k_w.data.T
+        grads = (g_phi, g_qw, g_qb, phi.data[:-1].T @ g_phi_k, np.zeros(qkv))
+        return grads if b is None else (g_b,) + grads
 
-    return _node(out, parents + tuple(weights), back, op), (q, k, v, a)
+    parents = (phi, q_w, q_b, k_w, k_b)
+    return _node(out, parents if b is None else (b,) + parents, back, op), a
+
+
+def glimpse_values(phi: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """The value side of a glimpse as one node: Phi' = (Phi W_v + e b_v^T) W_out
+    + e b_out^T, the factor of the glimpse's output map [A B | 1] Phi'.
+    ``weights`` is (v_w, v_b, out_w, out_b)."""
+    op = "glimpse_values"
+    v_w, v_b, out_w, out_b = weights
+    d_f, qkv = v_w.shape
+    if phi.data.ndim != 2 or phi.shape[1] != d_f or v_b.shape != (qkv,) or \
+            out_w.shape != (qkv, d_f) or out_b.shape != (d_f,):
+        raise ShapeError(f"{op} factor {phi.shape} and weights {[w.shape for w in weights]}")
+    phi_v = _checked(_rows_affine(phi.data, v_w.data, v_b.data), op, "v map")
+
+    def back(g: np.ndarray):
+        g_v, g_ow, g_ob = _rows_affine_back(phi_v, out_w.data, g)
+        return _rows_affine_back(phi.data, v_w.data, g_v) + (g_ow, g_ob)
+
+    return _node(_rows_affine(phi_v, out_w.data, out_b.data), (phi, *weights), back, op)
+
+
+def factor_rows(v: Tensor, s: Tensor, q: Tensor) -> Tensor:
+    """Phi_0 of F[i, r, c] = [v[r, c] | s[r, c] | q[i]] = [B_0 | 1] Phi_0, where
+    row (i, r, c) of B_0 is one-hot at column i and at column L + r G + c:
+    the (L + G * G + 1, D) rows [0 | 0 | q_i], then [v_rc | s_rc | 0], then 0."""
+    if v.data.ndim != 3 or s.data.ndim != 3 or q.data.ndim != 2 or v.shape[:2] != s.shape[:2]:
+        raise ShapeError(f"factor_rows of {v.shape}, {s.shape} and {q.shape}")
+    l_w, c_v, c_g = q.shape[0], v.shape[2], v.shape[2] + s.shape[2]
+    cells = v.shape[0] * v.shape[1]
+    data = np.zeros((l_w + cells + 1, c_g + q.shape[1]))
+    data[:l_w, c_g:] = q.data
+    data[l_w:-1, :c_v] = v.data.reshape(cells, c_v)
+    data[l_w:-1, c_v:c_g] = s.data.reshape(cells, -1)
+
+    def back(g: np.ndarray):
+        return (g[l_w:-1, :c_v].reshape(v.shape), g[l_w:-1, c_v:c_g].reshape(s.shape),
+                g[:l_w, c_g:])
+
+    return _node(data, (v, s, q), back, "factor_rows")
+
+
+def factor_readout(pairs: Sequence[tuple[Tensor, Tensor]], weight: Tensor,
+                   bias: Tensor) -> tuple[Tensor, np.ndarray]:
+    """(sum_k [B_k | 1] Phi_k) W + b as one node, for pairs of (L, r_k) B_k and
+    (r_k + 1, D) Phi_k.  Returns the node and the first pair's map."""
+    if any(b.data.ndim != 2 or phi.shape != (b.shape[1] + 1, weight.shape[0]) or
+           b.shape[0] != pairs[0][0].shape[0] for b, phi in pairs) or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"factor_readout of {[(b.shape, phi.shape) for b, phi in pairs]} "
+                         f"by {weight.shape} and {bias.shape}")
+    maps = [_with_ones(b.data, phi.data) for b, phi in pairs]
+    total = maps[0]
+    for term in maps[1:]:
+        total = total + term
+    data = total @ weight.data + bias.data
+
+    def back(g: np.ndarray):
+        g_total, g_w, g_b = _affine_back(total, weight.data, g)
+        grads = []
+        for b, phi in pairs:
+            g_pair = g_total @ phi.data[:-1].T if b.requires_grad else None
+            grads += [g_pair, np.vstack([b.data.T @ g_total, g_total.sum(axis=0, keepdims=True)])]
+        return (*grads, g_w, g_b)
+
+    parents = tuple(t for pair in pairs for t in pair) + (weight, bias)
+    return _node(data, parents, back, "factor_readout"), maps[0]
 
 
 # -- parameter construction ---------------------------------------------------

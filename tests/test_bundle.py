@@ -1,7 +1,10 @@
 """Bundle round-trip and corruption tests."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cmvqa.bundle import BundleError, read_bundle, write_bundle
 
@@ -143,3 +146,81 @@ def test_existing_bundle_survives_interrupted_write(tmp_path, gen, monkeypatch):
     monkeypatch.undo()
     assert read_bundle(path)["x"].tobytes() == x.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["keep.cmtb"]
+
+
+def test_read_arrays_own_their_memory_and_are_writeable(tmp_path, gen):
+    tensors = {"f": gen.standard_normal((2, 3)), "u": np.frombuffer(b"abc", np.uint8)}
+    write_bundle(tensors, tmp_path / "o.cmtb")
+    for arr in read_bundle(tmp_path / "o.cmtb").values():
+        assert arr.flags.owndata and arr.flags.writeable
+
+
+def _entry_header(name: bytes, dims) -> bytes:
+    """One v2 float64 entry's header, at payload offset 0."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<BI", 0, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + struct.pack("<Q", 0))
+
+
+def test_name_that_is_not_utf8_raises_bundle_error(tmp_path):
+    path = tmp_path / "n.cmtb"
+    path.write_bytes(b"CMTB" + struct.pack("<II", 2, 1) + _entry_header(b"\xff\xfe", (1,))
+                     + struct.pack("<Q", 8) + b"\x00" * 8)
+    with pytest.raises(BundleError, match="entry 0 .*not UTF-8"):
+        read_bundle(path)
+
+
+def test_dimension_numpy_cannot_hold_raises_bundle_error(tmp_path):
+    path = tmp_path / "d.cmtb"
+    path.write_bytes(b"CMTB" + struct.pack("<II", 2, 1) + _entry_header(b"x", (0, 2 ** 63))
+                     + struct.pack("<Q", 0))
+    with pytest.raises(BundleError, match="'x' has shape"):
+        read_bundle(path)
+
+
+# -- property tests: every malformed file is a BundleError ------------------------
+
+_arrays = st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(np.array),
+        st.binary(max_size=6).map(lambda b: np.frombuffer(b, np.uint8)),
+    ),
+    max_size=4,
+)
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _bundle_bytes(tmp_path, tensors) -> bytes:
+    path = tmp_path / "p.cmtb"
+    write_bundle(tensors, path)
+    return path.read_bytes()
+
+
+def _read_raw(tmp_path, raw: bytes):
+    path = tmp_path / "r.cmtb"
+    path.write_bytes(raw)
+    return read_bundle(path)
+
+
+@_PROPERTY
+@given(tensors=_arrays)
+def test_every_truncation_raises_bundle_error(tmp_path, tensors):
+    raw = _bundle_bytes(tmp_path, tensors)
+    for cut in range(len(raw)):
+        with pytest.raises(BundleError):
+            _read_raw(tmp_path, raw[:cut])
+
+
+@_PROPERTY
+@given(tensors=_arrays, flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                                        min_size=1, max_size=4))
+def test_flipped_bytes_read_back_or_raise_bundle_error(tmp_path, tensors, flips):
+    raw = bytearray(_bundle_bytes(tmp_path, tensors))
+    for pos, mask in flips:
+        raw[pos % len(raw)] ^= mask
+    try:
+        back = _read_raw(tmp_path, bytes(raw))
+    except BundleError:
+        return
+    assert all(isinstance(arr, np.ndarray) for arr in back.values())

@@ -1,6 +1,9 @@
 """Tests for the key = value run-configuration parser."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmvqa.config import (
     ConfigError,
@@ -69,6 +72,8 @@ class TestValidation:
         "task_head = detection",
         "eval_split = holdout",
         "train_frac = 0.9\nval_frac = 0.2",
+        "n_vqa = -5\neval_split = val",
+        "n_pretrain = " + "1" + "0" * 400,
     ])
     def test_invalid_settings_rejected(self, line):
         with pytest.raises(ConfigError):
@@ -133,3 +138,43 @@ class TestDerivedConfigs:
         config = parse_config("glimpses = 2")
         assert config.cmsa_config().glimpses == 2
         assert config.cmsa_config(glimpses=1).glimpses == 1
+
+
+# -- property tests: every bad text is a ConfigError --------------------------------
+
+_KEYS = sorted(f.name for f in fields(RunConfig)) + ["", "nope", "=", "#"]
+_VALUES = st.one_of(
+    st.integers(min_value=-(10 ** 500), max_value=10 ** 500).map(str),
+    st.integers(min_value=0, max_value=500).map(lambda k: "-" * (k % 2) + "1" + "0" * k),
+    st.floats().map(repr),
+    st.sampled_from(["true", "no", "multi", "single", "test", "nan", "-inf", "1e999", ""]),
+    st.text(max_size=12),
+)
+_LINES = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES).map(" = ".join), max_size=6)
+_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def _parses_or_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
+
+
+@_PROPERTY
+@given(text=st.text(max_size=200))
+def test_random_text_parses_or_raises_config_error(text):
+    _parses_or_config_error(text)
+
+
+@_PROPERTY
+@given(lines=_LINES)
+def test_random_key_value_lines_parse_or_raise_config_error(lines):
+    _parses_or_config_error("\n".join(lines))
+
+
+@_PROPERTY
+@given(key=st.sampled_from(_KEYS), value=_VALUES)
+def test_one_random_value_over_the_defaults_parses_or_raises_config_error(key, value):
+    _parses_or_config_error(f"{key} = {value}")

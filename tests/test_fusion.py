@@ -10,6 +10,7 @@ from cmvqa.fusion import (
     build_multimodal_map,
     cmsa_fuse,
     init_cmsa,
+    one_hot_basis,
     self_attention_pass,
 )
 from cmvqa.numerics import (
@@ -18,15 +19,23 @@ from cmvqa.numerics import (
     ShapeError,
     Tensor,
     add,
+    factor_rows,
     grad_check,
     mean_over_axes,
     mul,
-    pointwise_channel_map,
     sum_over_axes,
 )
 from cmvqa.question import QuestionEmbedding
 from cmvqa.vision import spatial_map
-from layer_oracles import self_attention_composition
+from layer_oracles import (
+    Collected,
+    cmsa_fuse_composition,
+    full_map_composition,
+    map_pair,
+    pair_map,
+    self_attention_composition,
+    self_attention_map,
+)
 
 
 def small_config(**kw):
@@ -84,7 +93,7 @@ class TestSelfAttentionPass:
             params = init_cmsa(Rng(trial).gen, config).glimpses[0]
             f = gen.standard_normal((l_w, g, g, config.d_f))
 
-            out = self_attention_pass(Tensor(f), params, config).data
+            out = self_attention_map(Tensor(f), params, config).data
             expected = attention_oracle(
                 f.reshape(-1, config.d_f),
                 params.q_w.data, params.q_b.data,
@@ -103,7 +112,7 @@ class TestSelfAttentionPass:
         f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f))
 
         state = CmsaState()
-        out = self_attention_pass(Tensor(f), params, config, collect=state).data
+        out = self_attention_map(Tensor(f), params, config, collect=state).data
         n = config.n_positions
         a = state.a[0].data
         assert np.abs(a - 1.0 / n).max() < 1e-12
@@ -120,7 +129,7 @@ class TestSelfAttentionPass:
         params.v_w.data[:] = 0.0
         params.v_b.data[:] = gen.standard_normal(config.qkv_channels)
         f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f))
-        out = self_attention_pass(Tensor(f), params, config).data
+        out = self_attention_map(Tensor(f), params, config).data
         flat = out.reshape(config.n_positions, config.d_f)
         assert np.abs(flat - flat[0]).max() < 1e-9
 
@@ -129,14 +138,14 @@ class TestSelfAttentionPass:
         params = init_cmsa(Rng(2).gen, config).glimpses[0]
         f = np.full((config.l_w, config.g, config.g, config.d_f), 1e160)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="scaled_attention"):
-            self_attention_pass(Tensor(f), params, config)
+            self_attention_map(Tensor(f), params, config)
 
     def test_row_stochastic_attention(self, gen):
         config = small_config(glimpses=1)
         params = init_cmsa(Rng(3).gen, config).glimpses[0]
         state = CmsaState()
         f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f)) * 3
-        self_attention_pass(Tensor(f), params, config, collect=state)
+        self_attention_map(Tensor(f), params, config, collect=state)
         a = state.a[0].data
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-9
         assert (a >= 0).all()
@@ -145,7 +154,7 @@ class TestSelfAttentionPass:
         config = small_config(glimpses=1, scaled_attention=True)
         params = init_cmsa(Rng(4).gen, config).glimpses[0]
         f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f))
-        out_scaled = self_attention_pass(Tensor(f), params, config).data
+        out_scaled = self_attention_map(Tensor(f), params, config).data
         expected = attention_oracle(
             f.reshape(-1, config.d_f),
             params.q_w.data, params.q_b.data,
@@ -217,8 +226,8 @@ class TestCmsaFuse:
         f_hat, state = cmsa_fuse(v, s, q, params, config)
 
         f0 = build_multimodal_map(v, s, q, config)
-        f1 = self_attention_pass(f0, params.glimpses[0], config)
-        f2 = self_attention_pass(f1, params.glimpses[1], config)
+        f1 = self_attention_map(f0, params.glimpses[0], config)
+        f2 = self_attention_map(f1, params.glimpses[1], config)
         pooled = (f2.data + f0.data).mean(axis=(1, 2))
         expected = pooled @ params.proj_w.data + params.proj_b.data
         assert np.abs(f_hat.data - expected).max() < 1e-12
@@ -353,6 +362,29 @@ def _rel(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
 
 
+# every comparison of the factor path with a composition of primitive ops
+REL_TOL = 1e-12
+
+
+def _assert_grads_close(leaves, got, want, k_bs):
+    for leaf, g, w in zip(leaves, got, want):
+        if any(leaf is k_b for k_b in k_bs):   # analytically zero, so roundoff on both sides
+            assert np.abs(g).max() <= 1e-12 and np.abs(w).max() <= 1e-12
+        else:
+            assert _rel(g, w) <= REL_TOL, leaf.shape
+
+
+def _glimpse_input(gen, config, factors):
+    """The glimpse's input as (pair for self_attention_pass, input of the composition)."""
+    if factors:
+        v, s, q = random_inputs(gen, config)
+        v.requires_grad = q.q.requires_grad = True
+        return (one_hot_basis(config), factor_rows(v, s, q.q)), (v, s, q.q)
+    shape = (config.l_w, config.g, config.g, config.d_f)
+    x = Tensor(gen.standard_normal(shape), requires_grad=True)
+    return map_pair(x), x
+
+
 class TestPooledPass:
     """pool=True equals the grid mean of the full pass, in value and gradient."""
 
@@ -363,31 +395,26 @@ class TestPooledPass:
         params = init_cmsa(Rng(20).gen, config).glimpses[0]
         for p in vars(params).values():
             p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
-        if factors:
-            v, s, q = random_inputs(gen, config)
-            v.requires_grad = q.q.requires_grad = True
-            f_in = (v, s, q.q)
-        else:
-            shape = (config.l_w, config.g, config.g, config.d_f)
-            f_in = Tensor(gen.standard_normal(shape), requires_grad=True)
+        pair, _ = _glimpse_input(gen, config, factors)
         coeffs = Tensor(gen.standard_normal((config.l_w, config.d_f)))
+        full_shape = (config.l_w, config.g, config.g, config.d_f)
 
-        pooled = self_attention_pass(f_in, params, config, pool=True)
-        full = mean_over_axes(self_attention_pass(f_in, params, config), (1, 2))
-        assert pooled.shape == (config.l_w, config.d_f)
-        assert _rel(pooled.data, full.data) <= 1e-12
+        def pooled():
+            return pair_map(self_attention_pass(pair, params, config, pool=True),
+                            (config.l_w, config.d_f))
 
-        leaves = _leaves(full)
+        def full():
+            return mean_over_axes(pair_map(self_attention_pass(pair, params, config),
+                                           full_shape), (1, 2))
+
+        assert pooled().shape == (config.l_w, config.d_f)
+        assert _rel(pooled().data, full().data) <= REL_TOL
+
+        leaves = _leaves(full())
         assert len(leaves) == (10 if factors else 9)
-        got = _grads(lambda: sum_over_axes(mul(
-            self_attention_pass(f_in, params, config, pool=True), coeffs), (0, 1)), leaves)
-        want = _grads(lambda: sum_over_axes(mul(mean_over_axes(
-            self_attention_pass(f_in, params, config), (1, 2)), coeffs), (0, 1)), leaves)
-        for leaf, g, w in zip(leaves, got, want):
-            if leaf is params.k_b:   # analytically zero, so roundoff on both sides
-                assert np.abs(g).max() <= 1e-12
-            else:
-                assert _rel(g, w) <= 1e-12, leaf.shape
+        got = _grads(lambda: sum_over_axes(mul(pooled(), coeffs), (0, 1)), leaves)
+        want = _grads(lambda: sum_over_axes(mul(full(), coeffs), (0, 1)), leaves)
+        _assert_grads_close(leaves, got, want, [params.k_b])
 
     @pytest.mark.parametrize("glimpses", [1, 2])
     def test_fuse_matches_full_path_composition(self, gen, glimpses):
@@ -398,69 +425,43 @@ class TestPooledPass:
         coeffs = Tensor(gen.standard_normal((config.l_w, config.d_q)))
 
         def composed():
-            """Every glimpse on the full path, then the residual, pool and projection."""
-            f = (v, s, q.q)
-            for glimpse in params.glimpses:
-                f = self_attention_pass(f, glimpse, config)
-            pooled = add(mean_over_axes(f, (1, 2)),
-                         mean_over_axes(build_multimodal_map(v, s, q, config), (1, 2)))
-            return pointwise_channel_map(pooled, params.proj_w, params.proj_b)
+            return full_map_composition(v, s, q, params, config)
 
         f_hat = cmsa_fuse(v, s, q, params, config)[0]
-        assert _rel(f_hat.data, composed().data) <= 1e-12
+        assert _rel(f_hat.data, composed().data) <= REL_TOL
 
         leaves = _leaves(f_hat)
         assert len(leaves) == 4 + 8 * glimpses
         got = _grads(lambda: sum_over_axes(mul(
             cmsa_fuse(v, s, q, params, config)[0], coeffs), (0, 1)), leaves)
         want = _grads(lambda: sum_over_axes(mul(composed(), coeffs), (0, 1)), leaves)
-        k_bs = [gl.k_b for gl in params.glimpses]
-        for leaf, g, w in zip(leaves, got, want):
-            if any(leaf is k_b for k_b in k_bs):   # analytically zero
-                assert np.abs(g).max() <= 1e-12
-            else:
-                assert _rel(g, w) <= 1e-12, leaf.shape
+        _assert_grads_close(leaves, got, want, [gl.k_b for gl in params.glimpses])
 
     @pytest.mark.parametrize("glimpses", [1, 2])
-    def test_last_glimpse_builds_no_full_v_or_output(self, gen, monkeypatch, glimpses):
-        """At gradcheck dims the last glimpse's node builds no (N, qkv) V
-        (unless it maps the factors) and no (N, D_f) output: every product
-        its forward computes with the map input, V's weight or the out map's
-        weight is recorded by shape."""
+    def test_last_glimpse_builds_no_full_v_or_output(self, gen, glimpses):
+        """At gradcheck dims no glimpse builds an (N, qkv) or (N, D_f) map,
+        forward or backward: every product with a glimpse's weights runs on
+        the r = L_w + G * G rows of the factor, or on those and the constant
+        row, recorded by shape."""
         config = CmsaConfig(l_w=3, g=2, c_v=8, d_q=8, glimpses=glimpses)
         params = init_cmsa(Rng(22).gen, config)
         v, s, q = random_inputs(gen, config)
-        last = params.glimpses[-1]
-        attention = fusion.self_attention_pass
+        v.requires_grad = True
         products = []
-
-        def recording(f_in, *args, pool=False, **kwargs):
-            if pool:
-                if not isinstance(f_in, tuple):
-                    f_in.data = _Spy.of(f_in.data, "x", products)
-                last.v_w.data = _Spy.of(last.v_w.data, "v_w", products)
-                last.out_w.data = _Spy.of(last.out_w.data, "out_w", products)
-            return attention(f_in, *args, pool=pool, **kwargs)
-
-        monkeypatch.setattr(fusion, "self_attention_pass", recording)
+        for gl in params.glimpses:
+            for name in ("q_w", "k_w", "v_w", "out_w"):
+                w = getattr(gl, name)
+                w.data = _Spy.of(w.data, name, products)
         f_hat, state = cmsa_fuse(v, s, q, params, config)
-        n, qkv, d_f, l_w = config.n_positions, config.qkv_channels, config.d_f, config.l_w
+        sum_over_axes(f_hat, (0, 1)).backward()
 
-        def reading(tag):
-            return [shapes for tags, shapes in products if tag in tags]
-
-        # the out map runs on L_w rows
-        assert reading("out_w") == [((l_w, qkv), (qkv, d_f))]
-        if glimpses == 1:   # V's map over the factor triple: words and grid cells
-            k = config.c_v + 8
-            assert reading("v_w") == [((l_w, config.d_q), (config.d_q, qkv)),
-                                      ((config.g ** 2, k), (k, qkv))]
-            assert state.v[-1].shape == (n, qkv)
-        else:   # V's map runs on the L_w rows (P A) X, and X meets only Q, K and P A
-            assert reading("v_w") == [((l_w, d_f), (d_f, qkv))]
-            assert reading("x") == [((n, d_f), (d_f, qkv))] * 2 + [((l_w, n), (n, d_f))]
-        assert len(state.a) == len(state.q) == glimpses
-        assert len(state.v) == 1
+        r, qkv, d_f = config.l_w + config.g ** 2, config.qkv_channels, config.d_f
+        # K's map skips the constant row; forward X W and backward g W^T
+        maps = {((rows, d_f), (d_f, qkv)) for rows in (r, r + 1)}
+        maps |= {((rows, qkv), (qkv, d_f)) for rows in (r, r + 1)}
+        assert len(products) == 4 * 2 * glimpses
+        assert {shapes for _, shapes in products} <= maps
+        assert len(state.a) == len(state.q) == len(state.v) == glimpses
 
 
 class _Spy(np.ndarray):
@@ -484,43 +485,34 @@ class _Spy(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-# -- one node per glimpse ----------------------------------------------------------
+# -- two nodes per glimpse -----------------------------------------------------------
 
 
 class TestGlimpseNode:
-    """self_attention_pass is one attention_glimpse node with the bits of the
-    primitive-op composition it replaced."""
+    """self_attention_pass on the pair of F's factors, or on a map as the pair
+    (identity, [X; 0]), gives the primitive-op composition's output, Q, K, V,
+    A and gradients within a relative 1e-12."""
 
     @pytest.mark.parametrize("factors", [False, True], ids=["map", "factors"])
     @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     @pytest.mark.parametrize("dims", [dict(l_w=3, g=2, c_v=3, d_q=4),
-                                      # N = 100, qkv = 50: OpenBLAS rounds Q K^T by the
-                                      # layout of K^T, which transpose2d copied
                                       dict(l_w=4, g=5, c_v=40, d_q=52)], ids=["small", "wide"])
     def test_batch_of_three_bit_identical_to_composition(self, gen, factors, pool, scaled, dims):
         config = CmsaConfig(**dims, glimpses=1, scaled_attention=scaled)
         params = init_cmsa(Rng(30).gen, config).glimpses[0]
         for p in vars(params).values():
             p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
-        inputs = []
-        for _ in range(3):
-            if factors:
-                v, s, q = random_inputs(gen, config)
-                v.requires_grad = q.q.requires_grad = True
-                inputs.append((v, s, q.q))
-            else:
-                shape = (config.l_w, config.g, config.g, config.d_f)
-                inputs.append(Tensor(gen.standard_normal(shape), requires_grad=True))
+        inputs = [_glimpse_input(gen, config, factors) for _ in range(3)]
         out_shape = (config.l_w, config.d_f) if pool else (config.l_w, config.g, config.g,
                                                            config.d_f)
         coeffs = [Tensor(gen.standard_normal(out_shape)) for _ in inputs]
         leaves = list(vars(params).values())
-        leaves += [t for f_in in inputs for t in (f_in if factors else (f_in,)) if t.requires_grad]
+        leaves += [t for _, f_in in inputs for t in (f_in if factors else (f_in,))
+                   if t.requires_grad]
 
-        def bits(attend):
-            state = CmsaState()
-            outs = [attend(f_in, params, config, collect=state, pool=pool) for f_in in inputs]
+        def arrays(attend, state):
+            outs = [attend(f_in, state) for f_in in inputs]
             total = None
             for out, c in zip(outs, coeffs):
                 term = sum_over_axes(mul(out, c), tuple(range(len(out_shape))))
@@ -528,11 +520,20 @@ class TestGlimpseNode:
             for leaf in leaves:
                 leaf.zero_grad()
             total.backward()
-            collected = state.q + state.k + state.v + state.a
-            return ([t.data.tobytes() for t in outs + collected]
-                    + [leaf.grad.tobytes() for leaf in leaves])
+            return [t.data for t in outs], state, [leaf.grad for leaf in leaves]
 
-        assert bits(self_attention_pass) == bits(self_attention_composition)
+        got = arrays(lambda f_in, state: pair_map(self_attention_pass(
+            f_in[0], params, config, collect=state, pool=pool), out_shape), CmsaState())
+        want = arrays(lambda f_in, state: self_attention_composition(
+            f_in[1], params, config, collect=state, pool=pool), Collected())
+        for g, w in zip(got[0], want[0]):
+            assert _rel(g, w) <= REL_TOL
+        for name in ("q", "k", "v", "a"):
+            collected = getattr(want[1], name)
+            assert len(collected) == (0 if name == "v" and pool and not factors else 3)
+            for g, w in zip(getattr(got[1], name), collected):
+                assert _rel(g.data, w.data) <= REL_TOL, name
+        _assert_grads_close(leaves, got[2], want[2], [params.k_b])
 
     def test_names_the_stage_of_a_non_finite_map(self):
         config = small_config(glimpses=1)
@@ -540,5 +541,94 @@ class TestGlimpseNode:
         params.k_w.data[0, 0] = 1e308
         f = np.full((config.l_w, config.g, config.g, config.d_f), 1e10)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="k map") as err:
-            self_attention_pass(Tensor(f), params, config)
+            self_attention_pass(map_pair(Tensor(f)), params, config)
         assert err.value.op == "attention_glimpse"
+
+
+# -- the factor path against the primitive-op fuse -----------------------------------
+
+
+GRADCHECK_DIMS = dict(l_w=3, g=2, c_v=8, d_q=8)
+DESK_DIMS = dict(l_w=6, g=4, c_v=32, d_q=32)
+PAPER_DIMS = dict(l_w=12, g=7, c_v=512, d_q=1024)
+
+
+def _fuse_case(config, seed=0):
+    """Initial parameters, model-like inputs (v >= 0 as after a ReLU, q in
+    (-1, 1) as LSTM states) and the coefficients of a scalar objective; the
+    leaves are named as in the model's registry."""
+    gen = np.random.default_rng(seed)
+    params = init_cmsa(gen, config)
+    v = Tensor(np.maximum(gen.standard_normal((config.g, config.g, config.c_v)), 0.0),
+               requires_grad=True)
+    q = Tensor(np.tanh(gen.standard_normal((config.l_w, config.d_q))), requires_grad=True)
+    coeffs = gen.standard_normal((config.l_w, config.d_q))
+    leaves = {"v": v, "q": q, "proj_w": params.proj_w, "proj_b": params.proj_b}
+    for i, gl in enumerate(params.glimpses):
+        leaves.update({f"glimpse{i}/{name}": t for name, t in vars(gl).items()})
+    return params, v, q, coeffs, leaves
+
+
+def _fuse_grads(fuse, config, case, dtype=np.float64):
+    """f_hat and every leaf gradient of sum(f_hat * coeffs), computed in ``dtype``."""
+    params, v, q, coeffs, leaves = case
+    saved = {name: t.data for name, t in leaves.items()}
+    try:
+        for t in leaves.values():
+            t.data = t.data.astype(dtype)
+            t.zero_grad()
+        s = spatial_map(config.g)
+        s.data = s.data.astype(dtype)
+        f_hat = fuse(v, s, QuestionEmbedding(q=q), params, config)[0]
+        sum_over_axes(mul(f_hat, Tensor(coeffs.astype(dtype))), (0, 1)).backward()
+        return f_hat.data, {name: t.grad for name, t in leaves.items()}
+    finally:
+        for name, t in leaves.items():
+            t.data = saved[name]
+
+
+def _assert_fuse_matches_composition(config):
+    case = _fuse_case(config)
+    f_hat, grads = _fuse_grads(cmsa_fuse, config, case)
+    f_want, want = _fuse_grads(cmsa_fuse_composition, config, case)
+    assert _rel(f_hat, f_want) <= REL_TOL
+    assert len(grads) == 4 + 8 * config.glimpses
+    for name, g in grads.items():
+        if name.endswith("/k_b"):   # analytically zero: exact zeros on the factor path
+            assert g is not None and not g.any() and np.abs(want[name]).max() <= 1e-12
+        else:
+            assert _rel(g, want[name]) <= REL_TOL, name
+
+
+class TestFactorPath:
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("glimpses", [1, 2])
+    @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, DESK_DIMS], ids=["gradcheck", "desk"])
+    def test_fuse_matches_composition(self, dims, glimpses, scaled):
+        _assert_fuse_matches_composition(
+            CmsaConfig(**dims, glimpses=glimpses, scaled_attention=scaled))
+
+    def test_paper_dims_match_composition(self):
+        """f_hat, the 18 parameter gradients and those of v and q at N = 588,
+        D_f = 1544; the two key biases' gradients are zeros, not None."""
+        _assert_fuse_matches_composition(CmsaConfig(**PAPER_DIMS, glimpses=2))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, DESK_DIMS], ids=["gradcheck", "desk"])
+    def test_three_glimpses_at_least_as_accurate_as_composition(self, dims, scaled):
+        """A third glimpse attends over rows two glimpses have nearly averaged,
+        so the gradients of its Q and K maps cancel and float64 loses digits.
+        Against the composition run in 80-bit long double, every gradient of
+        the factor path is within 1e-12, or no further off than the float64
+        composition."""
+        config = CmsaConfig(**dims, glimpses=3, scaled_attention=scaled)
+        case = _fuse_case(config)
+        ref = _fuse_grads(cmsa_fuse_composition, config, case, np.longdouble)[1]
+        got = _fuse_grads(cmsa_fuse, config, case)[1]
+        composed = _fuse_grads(cmsa_fuse_composition, config, case)[1]
+        for name, g in got.items():
+            if not name.endswith("/k_b"):
+                err = float(_rel(g, ref[name]))
+                assert err <= max(REL_TOL, float(_rel(composed[name], ref[name]))), name

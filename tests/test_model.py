@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import layer_oracles
-from cmvqa import fusion, model as model_module, question
+from cmvqa import model as model_module, question
 from cmvqa.bundle import read_bundle, write_bundle
 from cmvqa.config import RunConfig, load_config
 from cmvqa.data import TYPE_NAMES, build_vocabulary, generate_vqa, generate_pretrain
@@ -155,8 +155,9 @@ class TestForward:
 
     def test_desk_forward_node_count(self, monkeypatch):
         """Op nodes one forward builds at desk.cfg dimensions: the question
-        LSTM is one node, not 17 per word, each CMSA glimpse is one node, not
-        10 or 11, each conv with its ReLU is one, and so is the blend, not 11."""
+        LSTM is one node, not 17 per word, each CMSA glimpse is two (its
+        attention and its value side) and the fuse two more (F's factor and
+        the readout), each conv with its ReLU is one, and so is the blend."""
         config = load_config(CONFIGS / "desk.cfg")
         dc = config.data_config()
         vocab = build_vocabulary(dc)
@@ -169,9 +170,10 @@ class TestForward:
             built.clear()
             model.forward(pretrain[type_id]["train"][0])
             counts.append(len(built))
-        assert counts == [33, 23, 25, 25]
+        assert counts == [31, 20, 22, 22]
         assert built.count("lstm_sequence") == 1
-        assert built.count("attention_glimpse") == 1
+        assert built.count("attention_glimpse") == built.count("glimpse_values") == 1
+        assert built.count("factor_rows") == built.count("factor_readout") == 1
 
     def test_gradcheck_objective_node_census(self, monkeypatch):
         """Op nodes, by op, of one grad-check objective (forward and loss) at
@@ -187,19 +189,20 @@ class TestForward:
         assert Counter(built) == {
             "conv2d_relu": 7,            # the gate stem and 2 layers per backbone
             "weighted_sum": 1,           # the blend
-            "attention_glimpse": 2,
+            "attention_glimpse": 2, "glimpse_values": 2,   # two per glimpse
+            "factor_rows": 1, "factor_readout": 1,         # two per fuse
             "lstm_sequence": 1,
-            "rows": 2, "concat_last": 3,  # embedding lookup; the residual's two
-            "pointwise_channel_map": 4,  # gate projection, fuse projection, answer MLP
-            "mean_over_axes": 2, "reshape": 2, "softmax_rows": 1,  # gate pool and softmax
-            "broadcast_to": 1, "add": 3, "sum_over_axes": 1, "relu": 1,
+            "rows": 2, "concat_last": 1,  # embedding lookup
+            "pointwise_channel_map": 3,  # gate projection, answer MLP
+            "mean_over_axes": 1, "reshape": 2, "softmax_rows": 1,  # gate pool and softmax
+            "add": 2, "sum_over_axes": 1, "relu": 1,
             "cross_entropy": 2, "scale": 1,
         }
-        assert len(built) == 34
+        assert len(built) == 32
 
 
-def _batch_bits(model, losses) -> dict:
-    """Bytes of the mean loss over a batch and of every parameter gradient."""
+def _batch_grads(model, losses) -> dict:
+    """The mean loss over a batch and every parameter gradient."""
     params = model.params()
     for p in params.values():
         p.zero_grad()
@@ -208,9 +211,13 @@ def _batch_bits(model, losses) -> dict:
         total = add(total, item)
     total = scale(total, 1.0 / len(losses))
     total.backward()
-    bits = {name: p.grad.tobytes() for name, p in params.items()}
-    bits["loss"] = total.data.tobytes()
-    return bits
+    grads = {name: p.grad for name, p in params.items()}
+    grads["loss"] = total.data
+    return grads
+
+
+def _bits(arrays: dict) -> dict:
+    return {name: a.tobytes() for name, a in arrays.items()}
 
 
 def _write_version1_bundle(arrays: dict, path) -> None:
@@ -225,19 +232,38 @@ def _write_version1_bundle(arrays: dict, path) -> None:
 
 
 class TestLayerNodes:
-    """A batch of three samples through the layer-level nodes gives the bits of
-    the primitive-op graphs they replace: loss and every parameter gradient,
-    where the gradients of q and v from the glimpses, the residual and the
-    heads meet."""
+    """A batch of three samples through the layer-level nodes.  The gate, conv
+    and blend nodes give the bits of the primitive-op graphs they replace:
+    loss and every parameter gradient.  The fuse in factor form reassociates
+    the attention's products, so against the primitive-op fuse the loss and
+    every gradient (where those of q and v from the glimpses, the residual and
+    the heads meet) agree within a relative 1e-12."""
 
     @staticmethod
-    def _compose(monkeypatch):
-        monkeypatch.setattr(model_module, "classify_type",
-                            layer_oracles.classify_type_composition)
-        monkeypatch.setattr(model_module, "backbone_forward", layer_oracles.backbone_composition)
-        monkeypatch.setattr(model_module, "blend", layer_oracles.blend_composition)
-        monkeypatch.setattr(fusion, "self_attention_pass",
-                            layer_oracles.self_attention_composition)
+    def _compose_vision(patch):
+        patch.setattr(model_module, "classify_type", layer_oracles.classify_type_composition)
+        patch.setattr(model_module, "backbone_forward", layer_oracles.backbone_composition)
+        patch.setattr(model_module, "blend", layer_oracles.blend_composition)
+
+    def _check(self, monkeypatch, model, losses):
+        fused = _batch_grads(model, losses())
+        with monkeypatch.context() as patch:
+            self._compose_vision(patch)
+            assert _bits(fused) == _bits(_batch_grads(model, losses()))
+        monkeypatch.setattr(model_module, "cmsa_fuse", layer_oracles.cmsa_fuse_composition)
+        composed = _batch_grads(model, losses())
+        # Q and K of a third glimpse act on rows that two glimpses have nearly
+        # averaged, so their gradients cancel: against an 80-bit reference the
+        # composition is ~1e-9 off there and the factor path ~1e-12 (see
+        # test_fusion's TestFactorPath), so these three are held to 1e-8.
+        loose = {f"cmsa/glimpse2/{name}" for name in ("q_w", "q_b", "k_w")}
+        for name, got in fused.items():
+            want = composed[name]
+            if name.endswith("/k_b"):   # analytically zero; the factor path gives exact zeros
+                assert not got.any() and np.abs(want).max() <= 1e-12, name
+                continue
+            rel = np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+            assert rel <= (1e-8 if name in loose else 1e-12), (name, rel)
 
     @pytest.mark.parametrize("glimpses, scaled", [(1, False), (2, False), (2, True), (3, False)])
     def test_vqa_batch_matches_compositions(self, corpus, monkeypatch, glimpses, scaled):
@@ -251,9 +277,7 @@ class TestLayerNodes:
                 out.append(vqa_loss(logits, s.answer_id, gate.logits, s.type_id, 0.5)[0])
             return out
 
-        fused = _batch_bits(model, losses())
-        self._compose(monkeypatch)
-        assert fused == _batch_bits(model, losses())
+        self._check(monkeypatch, model, losses)
 
     @pytest.mark.parametrize("type_id", [0, 1, 2])
     def test_pretrain_batch_matches_compositions(self, corpus, monkeypatch, type_id):
@@ -268,9 +292,7 @@ class TestLayerNodes:
                                          s.compat_label)[0])
             return out
 
-        fused = _batch_bits(model, losses())
-        self._compose(monkeypatch)
-        assert fused == _batch_bits(model, losses())
+        self._check(monkeypatch, model, losses)
 
 
 class TestCheckpoints:

@@ -14,15 +14,15 @@ from cmvqa.numerics import (
     attention_glimpse,
     broadcast_to,
     concat_last,
-    conv2d,
     conv2d_relu,
     cross_entropy,
+    factor_readout,
+    factor_rows,
+    glimpse_values,
     grad_check,
     lstm_sequence,
-    matmul,
     mean_over_axes,
     mul,
-    multimodal_channel_map,
     pointwise_channel_map,
     relu,
     reshape,
@@ -33,10 +33,10 @@ from cmvqa.numerics import (
     softmax_rows,
     sum_over_axes,
     tanh,
-    transpose2d,
     upsample_nearest,
     weighted_sum,
 )
+from layer_oracles import conv2d, matmul, multimodal_channel_map, pair_map, transpose2d
 
 
 # -- independent oracles ------------------------------------------------------
@@ -240,6 +240,31 @@ def test_multimodal_channel_map_rejects_mismatched_shapes():
         multimodal_channel_map(grid, words, Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
 
 
+@pytest.mark.parametrize("l_w, g", [(1, 1), (1, 3), (4, 1), (3, 2)])
+def test_factor_rows_and_one_hot_basis_give_the_built_f(gen, l_w, g):
+    """[B_0 | 1] Phi_0 is F bit for bit (each entry sums one nonzero and zeros),
+    and its gradients are those of F's."""
+    from cmvqa.fusion import CmsaConfig, build_multimodal_map, one_hot_basis
+    from cmvqa.question import QuestionEmbedding
+
+    config = CmsaConfig(l_w=l_w, g=g, c_v=3, d_q=5, glimpses=1)
+    inputs = [gen.standard_normal((g, g, 3)), gen.standard_normal((g, g, 8)),
+              gen.standard_normal((l_w, 5))]
+    out_grad = gen.standard_normal((l_w, g, g, config.d_f))
+    shape = out_grad.shape
+
+    def factorized(v, s, q):
+        return pair_map((one_hot_basis(config), factor_rows(v, s, q)), shape)
+
+    def oracle(v, s, q):
+        return build_multimodal_map(v, s, QuestionEmbedding(q=q), config)
+
+    got = _forward_and_grads(factorized, inputs, out_grad)
+    want = _forward_and_grads(oracle, inputs, out_grad)
+    assert got[0].tobytes() == want[0].tobytes()
+    _assert_close(got, want)
+
+
 # -- cross entropy --------------------------------------------------------------
 
 
@@ -422,17 +447,23 @@ OP_CASES = {
     "lstm_sequence": lambda p, g: lstm_sequence(p["seq"], LstmParams(w=p["lstm_w"], b=p["lstm_b"])),
     "conv2d_relu": lambda p, g: conv2d_relu(p["img"], p["kern"], p["kb"], stride=2, padding=1),
     "weighted_sum": lambda p, g: weighted_sum(p["mix"], [p["a"], p["b"], p["c"]]),
-    "attention_glimpse": lambda p, g: attention_glimpse(p["att_map"], _glimpse_weights(p))[0],
+    # a map as the pair (identity, Phi); and a factor pair with a tracked B
+    "attention_glimpse": lambda p, g: attention_glimpse(None, p["att_phi"], _weights(p, QK))[0],
     "attention_glimpse[factors, pooled, scaled]": lambda p, g: attention_glimpse(
-        (p["att_v"], p["att_s"], p["att_words"]), _glimpse_weights(p), scaled=True, pool=True)[0],
+        p["att_b"], p["att_phi"], _weights(p, QK), scaled=True, pool=2)[0],
+    "glimpse_values": lambda p, g: glimpse_values(p["att_phi"], _weights(p, VO)),
+    "factor_rows": lambda p, g: factor_rows(p["grid"], p["fr_s"], p["words"]),
+    "factor_readout": lambda p, g: factor_readout(
+        [(p["att_bar"], p["att_phi"]), (p["m1"], p["fr_phi"])], p["ro_w"], p["ro_b"])[0],
 }
 
 
-GLIMPSE_WEIGHTS = ("aq_w", "aq_b", "ak_w", "ak_b", "av_w", "av_b", "ao_w", "ao_b")
+QK = ("aq_w", "aq_b", "ak_w", "ak_b")
+VO = ("av_w", "av_b", "ao_w", "ao_b")
 
 
-def _glimpse_weights(p) -> list:
-    return [p[k] for k in GLIMPSE_WEIGHTS]
+def _weights(p, names) -> list:
+    return [p[k] for k in names]
 
 
 def _op_inputs(gen) -> dict:
@@ -458,10 +489,14 @@ def _op_inputs(gen) -> dict:
         "lstm_b": Tensor(gen.standard_normal(12), requires_grad=True),
         "mix": Tensor(gen.standard_normal(3), requires_grad=True),
         "c": Tensor(gen.standard_normal((2, 3)), requires_grad=True),
-        "att_map": Tensor(gen.standard_normal((2, 2, 2, 4)), requires_grad=True),
-        "att_v": Tensor(gen.standard_normal((2, 2, 1)), requires_grad=True),
-        "att_s": Tensor(gen.standard_normal((2, 2, 1)), requires_grad=True),
-        "att_words": Tensor(gen.standard_normal((2, 2)), requires_grad=True),
+        # factor pairs: B (6, 4) pooled over 2 groups, Phi (5, 4)
+        "att_b": Tensor(gen.standard_normal((6, 4)), requires_grad=True),
+        "att_phi": Tensor(gen.standard_normal((5, 4)), requires_grad=True),
+        "att_bar": Tensor(gen.standard_normal((3, 4)), requires_grad=True),
+        "fr_s": Tensor(gen.standard_normal((2, 2, 1)), requires_grad=True),
+        "fr_phi": Tensor(gen.standard_normal((5, 4)), requires_grad=True),
+        "ro_w": Tensor(gen.standard_normal((4, 2)), requires_grad=True),
+        "ro_b": Tensor(gen.standard_normal(2), requires_grad=True),
         **{name: Tensor(gen.standard_normal(shape), requires_grad=True) for name, shape in (
             ("aq_w", (4, 3)), ("aq_b", (3,)), ("ak_w", (4, 3)), ("ak_b", (3,)),
             ("av_w", (4, 3)), ("av_b", (3,)), ("ao_w", (3, 4)), ("ao_b", (4,)))},
@@ -524,9 +559,11 @@ def _touches(op_name: str, key: str) -> bool:
         "lstm_sequence": {"seq", "lstm_w", "lstm_b"},
         "conv2d_relu": {"img", "kern", "kb"},
         "weighted_sum": {"mix", "a", "b", "c"},
-        "attention_glimpse": {"att_map", *GLIMPSE_WEIGHTS},
-        "attention_glimpse[factors, pooled, scaled]": {"att_v", "att_s", "att_words",
-                                                       *GLIMPSE_WEIGHTS},
+        "attention_glimpse": {"att_phi", *QK},
+        "attention_glimpse[factors, pooled, scaled]": {"att_b", "att_phi", *QK},
+        "glimpse_values": {"att_phi", *VO},
+        "factor_rows": {"grid", "fr_s", "words"},
+        "factor_readout": {"att_bar", "att_phi", "m1", "fr_phi", "ro_w", "ro_b"},
     }
     return key in needed[op_name]
 
@@ -673,11 +710,10 @@ def test_conv2d_relu_bit_identical_to_conv2d_then_relu(gen, stride, padding, tra
 
 
 def test_attention_glimpse_rejects_mismatched_weights():
-    x = Tensor(np.zeros((2, 1, 1, 4)))
-    weights = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (4, 2), (2,), (4, 3), (2,),
-                                                      (2, 4), (4,))]
+    phi = Tensor(np.zeros((3, 4)))
+    weights = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (4, 3), (2,))]
     with pytest.raises(ShapeError, match="attention_glimpse weights"):
-        attention_glimpse(x, weights)
+        attention_glimpse(None, phi, weights)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -695,9 +731,7 @@ def test_attention_glimpse_rejects_mismatched_weights():
                                           stride=1, padding=0)),
     ("weighted_sum", lambda t: weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones(t.shape)), t])),
     ("attention_glimpse", lambda t: attention_glimpse(
-        Tensor(t.data.reshape(2, 1, 1, 3)),
-        [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,), (3, 1), (1,),
-                                              (1, 3), (3,))])[0]),
+        None, t, [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,))])[0]),
 ])
 def test_non_finite_output_names_the_op(op_name, build, bad):
     x = np.arange(6.0).reshape(2, 3)
