@@ -9,21 +9,26 @@ per word.
 
 The fuse never builds F or any map over the N positions.  F has rank at most
 r = L_w + G*G (one row per word, one per cell), and it is held as the pair
-(B, Phi) with F = [B | 1] Phi: glimpse 0 starts from the constant one-hot B_0
-and ``numerics.factor_rows``.  A glimpse keeps that form, because its maps are
-affine and A's rows sum to 1: A [B | 1] Phi W = [A B | 1] (Phi W).  So each
-glimpse is two nodes, ``attention_glimpse`` (B -> A B) and ``glimpse_values``
-(Phi -> Phi'), whose affine maps act on r + 1 rows.  Only the grid mean of the
-last glimpse's output is read, so that glimpse returns P A B, P averaging each
-word's rows, and ``factor_readout`` adds the residual and projects.
+(B, Phi) with F = [B | 1] Phi: glimpse 0 starts from ``factor_rows`` and the
+one-hot word x cell basis B_0, which is never built either (``OneHotGrid``
+marks it).  A glimpse keeps that form, because its maps are affine and A's
+rows sum to 1: A [B | 1] Phi W = [A B | 1] (Phi W).  So each glimpse is two
+nodes, an attention node (B -> A B) and ``glimpse_values`` (Phi -> Phi'),
+whose affine maps act on r + 1 rows.
+
+Glimpse 0's logit between positions (i, p) and (j, p') is a word term plus a
+cell term, so its row softmax is a word softmax times a cell softmax and
+A B_0 = [alpha | beta]: ``grid_attention`` builds no (N, N) array.  Only the
+grid mean of the last glimpse's output is read, so that glimpse averages its
+attention rows per word first and ``pooled_values`` maps those L_w rows;
+``factor_readout`` adds the residual's grid mean [mean v | mean s | q_i] and
+projects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List
-
-import numpy as np
 
 from .numerics import (
     ShapeError,
@@ -34,6 +39,9 @@ from .numerics import (
     factor_readout,
     factor_rows,
     glimpse_values,
+    grid_attention,
+    grid_rows,
+    pooled_values,
     reshape,
     uniform_init,
     zeros_param,
@@ -88,15 +96,23 @@ class CmsaParams:
     proj_b: Tensor
 
 
+@dataclass(frozen=True)
+class OneHotGrid:
+    """Glimpse 0's basis B_0 in its pair, never built: row (i, r, c) is one-hot
+    at word i and at cell L_w + r G + c."""
+
+    l_w: int
+
+
 @dataclass
 class CmsaState:
-    """Intermediate values of one fuse pass, inspectable by tests.  F and each
-    glimpse's Q, K and V, each (N, qkv), are built from the stored factors on
-    every read, so read them before the parameters change."""
+    """Intermediate values of one fuse pass, inspectable by tests.  F, each
+    glimpse's Q, K and V, each (N, qkv), and glimpse 0's A are built from the
+    stored factors on every read, so read them before the parameters change."""
 
     inputs: tuple = None  # (v, s, q, config) of the fuse; f builds F from them
     factors: list = field(default_factory=list)  # (B, Phi, GlimpseParams) per glimpse
-    a: List[Tensor] = field(default_factory=list)  # (N, N), one per glimpse
+    attention: list = field(default_factory=list)  # A, or glimpse 0's [alpha | beta]
     f_prime: Tensor = None  # last glimpse's output pooled over the grid, (L_w, D_f)
     f_hat: Tensor = None
 
@@ -104,12 +120,23 @@ class CmsaState:
     def f(self) -> Tensor:
         return build_multimodal_map(*self.inputs)
 
+    @property
+    def a(self) -> List[Tensor]:
+        """Each glimpse's (N, N) A; glimpse 0's is alpha times beta."""
+        out = []
+        for (b, _, _), att in zip(self.factors, self.attention):
+            if isinstance(b, OneHotGrid):
+                att = (att[:, :b.l_w, None] * att[:, None, b.l_w:]).reshape(len(att), -1)
+            out.append(Tensor(att))
+        return out
+
     def _maps(self, name: str) -> List[Tensor]:
         out = []
         for b, phi, params in self.factors:
             rows = phi.data @ getattr(params, f"{name}_w").data
             rows[-1] += getattr(params, f"{name}_b").data
-            out.append(Tensor((rows[:-1] if b is None else b.data @ rows[:-1]) + rows[-1]))
+            out.append(Tensor(grid_rows(rows, b.l_w) if isinstance(b, OneHotGrid)
+                              else b.data @ rows[:-1] + rows[-1]))
         return out
 
     q = property(lambda self: self._maps("q"))
@@ -155,32 +182,26 @@ def build_multimodal_map(v: Tensor, s: Tensor, q: QuestionEmbedding,
                         broadcast_to(reshape(q.q, (l_w, 1, 1, d_q)), (l_w, g, g, d_q))])
 
 
-def one_hot_basis(config: CmsaConfig) -> Tensor:
-    """B_0: row (i, r, c) is one-hot at word i and at cell L_w + r G + c."""
-    l_w, cells = config.l_w, config.g * config.g
-    pos = np.arange(l_w * cells)
-    b = np.zeros((l_w * cells, l_w + cells))
-    b[pos, pos // cells] = 1.0
-    b[pos, l_w + pos % cells] = 1.0
-    return Tensor(b)
-
-
 def self_attention_pass(pair: tuple, params: GlimpseParams, config: CmsaConfig,
-                        collect: CmsaState = None, pool: bool = False) -> tuple:
-    """One glimpse over F = [B | 1] Phi, given as the pair (B, Phi) (B None for
-    the identity): Q/K/V maps, row-softmax attention over all positions, map
-    back.  Returns the output's pair (A B, Phi').
+                        collect: CmsaState = None, pool: bool = False):
+    """One glimpse over F = [B | 1] Phi, given as the pair (B, Phi), B a tensor
+    or glimpse 0's ``OneHotGrid``: Q/K/V maps, row-softmax attention over all
+    positions, map back.  Returns the output's pair (A B, Phi').
 
-    With ``pool`` the pair is (P A B, Phi'), whose map is the (L_w, D_f) mean of
-    the output over each word's grid: PA's rows sum to 1 like A's."""
+    With ``pool`` it returns the (L_w, D_f) mean of the output map over each
+    word's grid, [P A B | 1] Phi': PA's rows sum to 1 like A's."""
     b, phi = pair
-    rows, a = attention_glimpse(b, phi, (params.q_w, params.q_b, params.k_w, params.k_b),
-                                config.scaled_attention, config.l_w if pool else 0)
-    phi_out = glimpse_values(phi, (params.v_w, params.v_b, params.out_w, params.out_b))
+    qk = (params.q_w, params.q_b, params.k_w, params.k_b)
+    vo = (params.v_w, params.v_b, params.out_w, params.out_b)
+    if isinstance(b, OneHotGrid):
+        rows, att = grid_attention(phi, qk, b.l_w, config.scaled_attention, pool)
+    else:
+        rows, att = attention_glimpse(b, phi, qk, config.scaled_attention,
+                                      config.l_w if pool else 0)
     if collect is not None:
         collect.factors.append((b, phi, params))
-        collect.a.append(Tensor(a))
-    return rows, phi_out
+        collect.attention.append(att)
+    return pooled_values(rows, phi, vo) if pool else (rows, glimpse_values(phi, vo))
 
 
 def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,
@@ -189,16 +210,11 @@ def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,
     The last glimpse returns its output already pooled over the grid."""
     _check_factors(v, s, q.q, config)
     state = CmsaState(inputs=(v, s, q, config))
-    b0, phi0 = one_hot_basis(config), factor_rows(v, s, q.q)
-    pair = (b0, phi0)
+    phi0 = factor_rows(v, s, q.q)
+    out = (OneHotGrid(config.l_w), phi0)
     last = len(params.glimpses) - 1
     for i, glimpse in enumerate(params.glimpses):
-        pair = self_attention_pass(pair, glimpse, config, collect=state, pool=i == last)
-
-    # the residual's grid mean P F = [P B_0 | 1] Phi_0 is [mean v | mean s | q_i]
-    cells = config.g * config.g
-    pooled_basis = Tensor(np.add.reduce(b0.data.reshape(config.l_w, cells, -1), axis=1) / cells)
-    f_hat, f_prime = factor_readout([pair, (pooled_basis, phi0)], params.proj_w, params.proj_b)
-    state.f_prime = Tensor(f_prime)
-    state.f_hat = f_hat
-    return f_hat, state
+        out = self_attention_pass(out, glimpse, config, collect=state, pool=i == last)
+    state.f_prime = out
+    state.f_hat = factor_readout(out, phi0, params.proj_w, params.proj_b)
+    return state.f_hat, state

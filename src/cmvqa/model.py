@@ -48,6 +48,7 @@ from .vision import (
     backbone_forward,
     blend,
     classify_type,
+    image_patches,
     init_backbone,
     init_type_classifier,
     spatial_map,
@@ -130,10 +131,11 @@ class VqaModel:
     def forward(self, sample: VqaSample) -> Tuple[Tensor, TypeGate, CmsaState]:
         """Returns (answer logits, type gate, fusion state)."""
         image = Tensor(sample.image)
-        gate = classify_type(image, self.gate)
-        v = blend(backbone_forward(image, self.backbones["abdomen"]),
-                  backbone_forward(image, self.backbones["head"]),
-                  backbone_forward(image, self.backbones["chest"]), gate)
+        patches = image_patches(image)
+        gate = classify_type(image, self.gate, patches)
+        v = blend(backbone_forward(image, self.backbones["abdomen"], patches),
+                  backbone_forward(image, self.backbones["head"], patches),
+                  backbone_forward(image, self.backbones["chest"], patches), gate)
         q = self.question.encode(sample.token_ids)
         f_hat, state = cmsa_fuse(v, self.s, q, self.cmsa, self.cmsa_config)
         return predict_answer(f_hat, q.q, self.answer), gate, state

@@ -275,18 +275,11 @@ def pointwise_channel_map(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     data = (x2 @ weight.data + bias.data).reshape(x.shape[:-1] + (c_out,))
 
     def back(g: np.ndarray):
-        gx, gw, gb = _affine_back(x2, weight.data, g)
-        return gx.reshape(x.shape), gw, gb
+        g2 = g.reshape(-1, c_out)
+        gx = g.reshape(x2.shape[:-1] + (c_out,)) @ weight.data.T
+        return gx.reshape(x.shape), x2.reshape(-1, c_in).T @ g2, g2.sum(axis=0)
 
     return _node(data, (x, weight, bias), back, "pointwise_channel_map")
-
-
-def _affine_back(x2: np.ndarray, weight: np.ndarray, g: np.ndarray):
-    """Gradients (input, weight, bias) of x2 @ weight + bias, x2 of rank <= 2."""
-    c_in, c_out = weight.shape
-    g2 = g.reshape(-1, c_out)
-    gx = g.reshape(x2.shape[:-1] + (c_out,)) @ weight.T
-    return gx, x2.reshape(-1, c_in).T @ g2, g2.sum(axis=0)
 
 
 # -- shape plumbing ----------------------------------------------------------
@@ -414,8 +407,12 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    # one fresh array, exponentiated and divided in place: a fresh temporary
+    # per step costs its page faults at attention sizes
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _softmax_back(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -473,19 +470,39 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 
 
 def conv2d_relu(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2,
-                padding: int = 1) -> Tensor:
+                padding: int = 1, patches: np.ndarray | None = None) -> Tensor:
     """relu(conv2d(x, weight, bias, stride, padding)) as one node, with the
-    same values and gradients as the two ops."""
-    pre, conv_back = _conv2d(x, weight, bias, stride, padding)
+    same values and gradients as the two ops.  ``patches`` is
+    ``im2col(x.data, ...)`` with this kernel, stride and padding, for an input
+    that several layers read."""
+    pre, conv_back = _conv2d(x, weight, bias, stride, padding, patches)
     # checked before the ReLU, which would turn NaN and -inf into 0
     mask = _checked(pre, "conv2d_relu", "convolution") > 0
     return _node(np.where(mask, pre, 0.0), (x, weight, bias), lambda g: conv_back(g * mask),
                  "conv2d_relu")
 
 
-def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int):
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """The (Ho * Wo, kh * kw * C) patch rows of an (H, W, C) array padded with
+    zeros: rows in (Ho, Wo) order, each in (kh, kw, C) order."""
+    h, w, c_in = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    xp = np.zeros((h + 2 * padding, w + 2 * padding, c_in))
+    xp[padding : padding + h, padding : padding + w] = x
+    # a (Ho, Wo, kh, kw, C_in) window view over the padded buffer, copied into
+    # patch rows by the reshape
+    s_r, s_c, s_ch = xp.strides
+    windows = np.ndarray((ho, wo, kh, kw, c_in), np.float64, xp, 0,
+                         (stride * s_r, stride * s_c, s_r, s_c, s_ch))
+    return windows.reshape(ho * wo, kh * kw * c_in)
+
+
+def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int,
+            patches: np.ndarray | None = None):
     """The convolution's value and its backward, (gx, gw, gb) of the upstream
-    gradient; gx is None when x needs no gradient."""
+    gradient; gx is None when x needs no gradient.  ``patches`` is x's
+    ``im2col``, built here when None."""
     h, w, c_in = x.shape
     kh, kw, wc_in, c_out = weight.shape
     if wc_in != c_in:
@@ -494,14 +511,11 @@ def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int):
     wo = (w + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {weight.shape}")
-    xp = np.zeros((h + 2 * padding, w + 2 * padding, c_in))
-    xp[padding : padding + h, padding : padding + w] = x.data
-    # im2col: a (Ho, Wo, kh, kw, C_in) window view over the padded buffer,
-    # copied into patch rows by the reshape
-    s_r, s_c, s_ch = xp.strides
-    windows = np.ndarray((ho, wo, kh, kw, c_in), np.float64, xp, 0,
-                         (stride * s_r, stride * s_c, s_r, s_c, s_ch))
-    patches = windows.reshape(ho * wo, kh * kw * c_in)
+    if patches is None:
+        patches = im2col(x.data, kh, kw, stride, padding)
+    elif patches.shape != (ho * wo, kh * kw * c_in):
+        raise ShapeError(f"conv2d patches {patches.shape} for input {x.shape}, "
+                         f"kernel {weight.shape}")
     w2 = weight.data.reshape(kh * kw * c_in, c_out)
     data = (patches @ w2 + bias.data).reshape(ho, wo, c_out)
 
@@ -518,7 +532,7 @@ def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int):
         # block offset hit distinct cells, so each offset is one add, and the
         # offsets run in (i, j) order, which is every cell's order in a
         # tap-by-tap loop.
-        nh, nw = -(-xp.shape[0] // stride), -(-xp.shape[1] // stride)
+        nh, nw = -(-(h + 2 * padding) // stride), -(-(w + 2 * padding) // stride)
         gxp = np.zeros((nh, stride, nw, stride, c_in))
         for i in range(0, kh, stride):
             for j in range(0, kw, stride):
@@ -548,9 +562,12 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 #
 # A glimpse's input is a map F = [B | 1] Phi over N positions, held as the pair
 # (B, Phi): B is (N, r) and Phi is (r + 1, D), its last row the constant row.
-# B None stands for the identity (r = N), which holds any map X as Phi = [X; 0].
 # A channel map of F is [B | 1] (Phi W + e b^T), e the last unit row, so every
-# affine map runs on the r + 1 rows of Phi and never on N rows.
+# affine map runs on the r + 1 rows of Phi and never on N rows.  Glimpse 0's
+# basis B_0 is one-hot at word i and at cell L + p in row (i, p); it is never
+# built, as ``grid_rows`` applies it by broadcast.
+
+_OVERFLOW = "attention logits overflowed; consider enabling scaled_attention"
 
 
 def _rows_affine(phi: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -566,11 +583,48 @@ def _rows_affine_back(phi: np.ndarray, weight: np.ndarray, g: np.ndarray):
 
 
 def _with_ones(b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """[B | 1] M, with B None for the identity."""
-    return (m[:-1] if b is None else b @ m[:-1]) + m[-1]
+    """[B | 1] M."""
+    return b @ m[:-1] + m[-1]
 
 
-def attention_glimpse(b: Tensor | None, phi: Tensor, weights: Sequence[Tensor],
+def grid_rows(m: np.ndarray, l_w: int) -> np.ndarray:
+    """[B_0 | 1] M for glimpse 0's one-hot basis B_0 over L = ``l_w`` words:
+    row (i, p) is M[i] + M[L + p] + M[-1], rows in (word, cell) order."""
+    return (m[:l_w, None] + m[None, l_w:-1]).reshape(-1, m.shape[1]) + m[-1]
+
+
+def _logit_factor(phi: Tensor, weights: Sequence[Tensor], scaled: bool, op: str):
+    """Phi_q = Phi W_q + e b_q^T, Phi_k = Phi W_k less the constant row, and
+    the (r + 1, r) M = Phi_q Phi_k^T, divided by sqrt(qkv) when ``scaled``."""
+    q_w, q_b, k_w, k_b = weights
+    d_f, qkv = q_w.shape
+    if k_w.shape != (d_f, qkv) or q_b.shape != (qkv,) or k_b.shape != (qkv,):
+        raise ShapeError(f"{op} weights {[w.shape for w in weights]}")
+    if phi.data.ndim != 2 or phi.shape[1] != d_f or phi.shape[0] < 2:
+        raise ShapeError(f"{op} factor {phi.shape}, D = {d_f}")
+    phi_q = _checked(_rows_affine(phi.data, q_w.data, q_b.data), op, "q map")
+    phi_k = _checked(phi.data[:-1] @ k_w.data, op, "k map")
+    m = phi_q @ phi_k.T
+    if scaled:
+        m = m * (1.0 / np.sqrt(qkv))
+    return phi_q, phi_k, _checked(m, op, _OVERFLOW)
+
+
+def _logit_factor_back(phi: Tensor, weights: Sequence[Tensor], phi_q: np.ndarray,
+                       phi_k: np.ndarray, g_m: np.ndarray, scaled: bool) -> tuple:
+    """Gradients (Phi, W_q, b_q, W_k, b_k) of ``_logit_factor`` from that of M.
+    b_k's is zero: the logits leave K's constant row out."""
+    q_w, _, k_w, _ = weights
+    qkv = q_w.shape[1]
+    if scaled:
+        g_m = g_m * (1.0 / np.sqrt(qkv))
+    g_phi, g_qw, g_qb = _rows_affine_back(phi.data, q_w.data, g_m @ phi_k)
+    g_phi_k = g_m.T @ phi_q
+    g_phi[:-1] += g_phi_k @ k_w.data.T
+    return g_phi, g_qw, g_qb, phi.data[:-1].T @ g_phi_k, np.zeros(qkv)
+
+
+def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
                       scaled: bool = False, pool: int = 0) -> tuple[Tensor, np.ndarray]:
     """The attention of one glimpse over F = [B | 1] Phi as one node:
     Q = [B | 1] (Phi W_q + e b_q^T), K likewise, A = softmax_rows(Q K^T), and
@@ -586,58 +640,80 @@ def attention_glimpse(b: Tensor | None, phi: Tensor, weights: Sequence[Tensor],
     attention would lose.  ``weights`` is (q_w, q_b, k_w, k_b); ``scaled``
     divides the logits by sqrt(qkv).  Returns the node and A."""
     op = "attention_glimpse"
-    q_w, q_b, k_w, k_b = weights
-    d_f, qkv = q_w.shape
-    r = phi.shape[0] - 1
-    n = r if b is None else b.shape[0]
-    if k_w.shape != (d_f, qkv) or q_b.shape != (qkv,) or k_b.shape != (qkv,):
-        raise ShapeError(f"{op} weights {[w.shape for w in weights]}")
-    if phi.data.ndim != 2 or phi.shape[1] != d_f or r < 1 or \
-            (b is not None and b.shape[1:] != (r,)) or (pool and n % pool):
-        raise ShapeError(f"{op} factors {None if b is None else b.shape} and {phi.shape}, "
-                         f"D = {d_f}, pooled over {pool}")
-    bd = None if b is None else b.data
-    bc = None if bd is None else bd - np.add.reduce(bd, axis=0) / n
-    phi_q = _checked(_rows_affine(phi.data, q_w.data, q_b.data), op, "q map")
-    phi_k = _checked(phi.data[:-1] @ k_w.data, op, "k map")
-    m = phi_q @ phi_k.T
-    if scaled:
-        c = 1.0 / np.sqrt(qkv)
-        m = m * c
-    overflow = "attention logits overflowed; consider enabling scaled_attention"
-    t = _with_ones(bd, _checked(m, op, overflow))     # [B | 1] M, (N, r)
-    # the identity's B_c = I - 1 1^T / N would shift each row by a constant
-    logits = _checked(t if bd is None else t @ bc.T, op, overflow)
-    a = _checked(_softmax(logits), op, "attention")
-    del t, logits
+    n = b.shape[0]
+    if b.data.ndim != 2 or b.shape[1] != phi.shape[0] - 1 or (pool and n % pool):
+        raise ShapeError(f"{op} factors {b.shape} and {phi.shape}, pooled over {pool}")
+    phi_q, phi_k, m = _logit_factor(phi, weights, scaled, op)
+    bd = b.data
+    bc = bd - np.add.reduce(bd, axis=0) / n
+    a = _checked(_softmax(_checked(_with_ones(bd, m) @ bc.T, op, _OVERFLOW)), op, "attention")
     per = n // pool if pool else 1
     rows = np.add.reduce(a.reshape(pool, per, n), axis=1) / per if pool else a
-    out = rows if bd is None else rows @ bd
 
     def back(g: np.ndarray):
-        g_a = g if bd is None else g @ bd.T
+        g_a = g @ bd.T
         if pool:
             g_a = np.repeat(g_a / per, per, axis=0)
         g_l = _softmax_back(a, g_a)
         del g_a
-        # u = g_L B_c; the gradient of M is [B | 1]^T u
-        u = g_l - np.add.reduce(g_l, axis=1, keepdims=True) / n if bd is None else g_l @ bc
-        g_m = np.vstack([u if bd is None else bd.T @ u, np.add.reduce(u, axis=0, keepdims=True)])
+        u = g_l @ bc   # the gradient of [B | 1] M; that of M is [B | 1]^T u
+        g_m = np.concatenate((bd.T @ u, np.add.reduce(u, axis=0, keepdims=True)))
         g_b = None
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             g_bc = np.hstack([g_l.T @ bd, g_l.sum(axis=0)[:, None]]) @ m   # g_L^T [B | 1] M
             g_b = rows.T @ g + u @ m[:-1].T + (g_bc - np.add.reduce(g_bc, axis=0) / n)
         del g_l, u
-        if scaled:
-            g_m = g_m * c
-        g_phi, g_qw, g_qb = _rows_affine_back(phi.data, q_w.data, g_m @ phi_k)
-        g_phi_k = g_m.T @ phi_q
-        g_phi[:-1] += g_phi_k @ k_w.data.T
-        grads = (g_phi, g_qw, g_qb, phi.data[:-1].T @ g_phi_k, np.zeros(qkv))
-        return grads if b is None else (g_b,) + grads
+        return (g_b,) + _logit_factor_back(phi, weights, phi_q, phi_k, g_m, scaled)
 
-    parents = (phi, q_w, q_b, k_w, k_b)
-    return _node(out, parents if b is None else (b,) + parents, back, op), a
+    return _node(rows @ bd, (b, phi, *weights), back, op), a
+
+
+def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int, scaled: bool = False,
+                   pool: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Glimpse 0's attention over F = [B_0 | 1] Phi as one node, B_0 the
+    one-hot basis of ``grid_rows``: the values of ``attention_glimpse`` on
+    B_0, with no (N, N) array.  The logit of positions (i, p) and (j, p') is
+    T[(i, p), j] + T[(i, p), L + p'] up to a constant per row, T = [B_0 | 1] M,
+    so the row softmax over the pair (j, p') is alpha(j) beta(p'), alpha the
+    softmax over T's L word columns and beta that over its cell columns, and
+    A B_0 = [alpha | beta].  The output is [alpha | beta], (N, r), or with
+    ``pool`` its (L, r) mean over each word's cells.  Returns the node and
+    [alpha | beta]."""
+    op = "grid_attention"
+    r = phi.shape[0] - 1
+    cells = r - l_w
+    if l_w < 1 or cells < 1:
+        raise ShapeError(f"{op} of a factor {phi.shape} over {l_w} words")
+    phi_q, phi_k, m = _logit_factor(phi, weights, scaled, op)
+    t = _checked(grid_rows(m, l_w), op, _OVERFLOW)
+    ab = _checked(np.concatenate((_softmax(t[:, :l_w]), _softmax(t[:, l_w:])), axis=1), op,
+                  "attention")
+    del t
+
+    def back(g: np.ndarray):
+        g_t = np.repeat(g / cells, cells, axis=0) if pool else g.copy()
+        # each block's softmax backward, ab * (g - rowsum(g * ab)), in place
+        g_ab = g_t * ab
+        for block in (slice(0, l_w), slice(l_w, r)):
+            g_t[:, block] -= np.add.reduce(g_ab[:, block], axis=1, keepdims=True)
+        g_t *= ab
+        # the gradient of M is [B_0 | 1]^T g_T: sums over each word's cells,
+        # over each cell's words, and over all positions
+        g_3 = g_t.reshape(l_w, cells, r)
+        g_m = np.concatenate((np.add.reduce(g_3, axis=1), np.add.reduce(g_3, axis=0),
+                              np.add.reduce(g_t, axis=0, keepdims=True)))
+        return _logit_factor_back(phi, weights, phi_q, phi_k, g_m, scaled)
+
+    out = np.add.reduce(ab.reshape(l_w, cells, r), axis=1) / cells if pool else ab
+    return _node(out, (phi, *weights), back, op), ab
+
+
+def _check_values(phi: Tensor, weights: Sequence[Tensor], op: str) -> None:
+    v_w, v_b, out_w, out_b = weights
+    d_f, qkv = v_w.shape
+    if phi.data.ndim != 2 or phi.shape[1] != d_f or v_b.shape != (qkv,) or \
+            out_w.shape != (qkv, d_f) or out_b.shape != (d_f,):
+        raise ShapeError(f"{op} factor {phi.shape} and weights {[w.shape for w in weights]}")
 
 
 def glimpse_values(phi: Tensor, weights: Sequence[Tensor]) -> Tensor:
@@ -645,11 +721,8 @@ def glimpse_values(phi: Tensor, weights: Sequence[Tensor]) -> Tensor:
     + e b_out^T, the factor of the glimpse's output map [A B | 1] Phi'.
     ``weights`` is (v_w, v_b, out_w, out_b)."""
     op = "glimpse_values"
+    _check_values(phi, weights, op)
     v_w, v_b, out_w, out_b = weights
-    d_f, qkv = v_w.shape
-    if phi.data.ndim != 2 or phi.shape[1] != d_f or v_b.shape != (qkv,) or \
-            out_w.shape != (qkv, d_f) or out_b.shape != (d_f,):
-        raise ShapeError(f"{op} factor {phi.shape} and weights {[w.shape for w in weights]}")
     phi_v = _checked(_rows_affine(phi.data, v_w.data, v_b.data), op, "v map")
 
     def back(g: np.ndarray):
@@ -657,6 +730,29 @@ def glimpse_values(phi: Tensor, weights: Sequence[Tensor]) -> Tensor:
         return _rows_affine_back(phi.data, v_w.data, g_v) + (g_ow, g_ob)
 
     return _node(_rows_affine(phi_v, out_w.data, out_b.data), (phi, *weights), back, op)
+
+
+def pooled_values(rows: Tensor, phi: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """The value side of a pooled glimpse as one node, on the L rows R of its
+    pooled attention: X = [R | 1] Phi, then (X W_v + b_v) W_out + b_out, the
+    (L, D) map [R | 1] Phi' with Phi' from ``glimpse_values``, computed on L
+    rows instead of r + 1.  ``weights`` is (v_w, v_b, out_w, out_b)."""
+    op = "pooled_values"
+    _check_values(phi, weights, op)
+    if rows.data.ndim != 2 or rows.shape[1] != phi.shape[0] - 1:
+        raise ShapeError(f"{op} rows {rows.shape} of a factor {phi.shape}")
+    v_w, v_b, out_w, out_b = weights
+    x = _checked(_with_ones(rows.data, phi.data), op, "pooled input")
+    h = _checked(x @ v_w.data + v_b.data, op, "v map")
+
+    def back(g: np.ndarray):
+        g_h = g @ out_w.data.T
+        g_x = g_h @ v_w.data.T
+        g_phi = np.concatenate((rows.data.T @ g_x, np.add.reduce(g_x, axis=0, keepdims=True)))
+        return (g_x @ phi.data[:-1].T, g_phi, x.T @ g_h, np.add.reduce(g_h, axis=0),
+                h.T @ g, np.add.reduce(g, axis=0))
+
+    return _node(h @ out_w.data + out_b.data, (rows, phi, *weights), back, op)
 
 
 def factor_rows(v: Tensor, s: Tensor, q: Tensor) -> Tensor:
@@ -679,30 +775,30 @@ def factor_rows(v: Tensor, s: Tensor, q: Tensor) -> Tensor:
     return _node(data, (v, s, q), back, "factor_rows")
 
 
-def factor_readout(pairs: Sequence[tuple[Tensor, Tensor]], weight: Tensor,
-                   bias: Tensor) -> tuple[Tensor, np.ndarray]:
-    """(sum_k [B_k | 1] Phi_k) W + b as one node, for pairs of (L, r_k) B_k and
-    (r_k + 1, D) Phi_k.  Returns the node and the first pair's map."""
-    if any(b.data.ndim != 2 or phi.shape != (b.shape[1] + 1, weight.shape[0]) or
-           b.shape[0] != pairs[0][0].shape[0] for b, phi in pairs) or bias.shape != weight.shape[1:]:
-        raise ShapeError(f"factor_readout of {[(b.shape, phi.shape) for b, phi in pairs]} "
-                         f"by {weight.shape} and {bias.shape}")
-    maps = [_with_ones(b.data, phi.data) for b, phi in pairs]
-    total = maps[0]
-    for term in maps[1:]:
-        total = total + term
-    data = total @ weight.data + bias.data
+def factor_readout(x: Tensor, phi: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """(X + P [B_0 | 1] Phi) W + b as one node, for an (L, D) X and the
+    (L + G * G + 1, D) Phi of a map [B_0 | 1] Phi: P averages each word's
+    rows, which gives Phi's word row plus the mean of its cell rows and its
+    constant row, so the map is never built.  For glimpse 0's Phi_0 those
+    rows are [mean v | mean s | q_i]."""
+    l_w = x.shape[0]
+    cells = phi.shape[0] - 1 - l_w
+    if x.data.ndim != 2 or phi.data.ndim != 2 or phi.shape[1] != x.shape[1] or cells < 1 or \
+            weight.data.ndim != 2 or weight.shape[0] != x.shape[1] or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"factor_readout of {x.shape} and {phi.shape} by {weight.shape} "
+                         f"and {bias.shape}")
+    grid_mean = phi.data[:l_w] + np.add.reduce(phi.data[l_w:-1], axis=0) / cells + phi.data[-1]
+    total = x.data + grid_mean
 
     def back(g: np.ndarray):
-        g_total, g_w, g_b = _affine_back(total, weight.data, g)
-        grads = []
-        for b, phi in pairs:
-            g_pair = g_total @ phi.data[:-1].T if b.requires_grad else None
-            grads += [g_pair, np.vstack([b.data.T @ g_total, g_total.sum(axis=0, keepdims=True)])]
-        return (*grads, g_w, g_b)
+        g_total = g @ weight.data.T
+        g_phi = np.empty(phi.shape)
+        g_phi[:l_w] = g_total
+        g_phi[-1] = np.add.reduce(g_total, axis=0)
+        g_phi[l_w:-1] = g_phi[-1] / cells
+        return g_total, g_phi, total.T @ g, np.add.reduce(g, axis=0)
 
-    parents = tuple(t for pair in pairs for t in pair) + (weight, bias)
-    return _node(data, parents, back, "factor_readout"), maps[0]
+    return _node(total @ weight.data + bias.data, (x, phi, weight, bias), back, "factor_readout")
 
 
 # -- parameter construction ---------------------------------------------------

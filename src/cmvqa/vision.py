@@ -17,6 +17,7 @@ from .numerics import (
     ShapeError,
     Tensor,
     conv2d_relu,
+    im2col,
     mean_over_axes,
     pointwise_channel_map,
     reshape,
@@ -81,11 +82,20 @@ def init_backbone(gen, image_size: int, c_in: int, g: int, c_v: int) -> Backbone
     return BackboneParams(layers=layers)
 
 
-def backbone_forward(image: Tensor, params: BackboneParams) -> Tensor:
-    """Image (H, W, C_in) -> features (G, G, C_v); ReLU after every layer."""
+def image_patches(image: Tensor) -> np.ndarray:
+    """The image's 3x3, stride-2, zero-padded patch rows: what the gate stem
+    and every backbone's first layer read, so one forward builds them once."""
+    return im2col(image.data, 3, 3, 2, 1)
+
+
+def backbone_forward(image: Tensor, params: BackboneParams,
+                     patches: np.ndarray | None = None) -> Tensor:
+    """Image (H, W, C_in) -> features (G, G, C_v); ReLU after every layer.
+    ``patches`` is ``image_patches(image)``, built here when None."""
     x = image
-    for layer in params.layers:
-        x = conv2d_relu(x, layer.weight, layer.bias, stride=2, padding=1)
+    for i, layer in enumerate(params.layers):
+        x = conv2d_relu(x, layer.weight, layer.bias, stride=2, padding=1,
+                        patches=None if i else patches)
     return x
 
 
@@ -99,9 +109,12 @@ def init_type_classifier(gen, c_in: int, stem_channels: int = 8) -> TypeClassifi
     return TypeClassifierParams(stem=stem, proj_w=proj_w, proj_b=proj_b)
 
 
-def classify_type(image: Tensor, params: TypeClassifierParams) -> TypeGate:
-    """Cheap stem + global pool + affine -> simplex weights over the 3 types."""
-    feats = conv2d_relu(image, params.stem.weight, params.stem.bias, stride=2, padding=1)
+def classify_type(image: Tensor, params: TypeClassifierParams,
+                  patches: np.ndarray | None = None) -> TypeGate:
+    """Cheap stem + global pool + affine -> simplex weights over the 3 types.
+    ``patches`` is ``image_patches(image)``, built here when None."""
+    feats = conv2d_relu(image, params.stem.weight, params.stem.bias, stride=2, padding=1,
+                        patches=patches)
     pooled = mean_over_axes(feats, (0, 1))
     logits = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
     w = reshape(softmax_rows(reshape(logits, (1, 3))), (3,))

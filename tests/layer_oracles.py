@@ -98,10 +98,23 @@ class Collected:
     a: list = field(default_factory=list)
 
 
+def one_hot_basis(config) -> Tensor:
+    """B_0: row (i, r, c) is one-hot at word i and at cell L + r G + c.  The
+    fuse never builds it; with it, ``attention_glimpse`` is the oracle of
+    ``grid_attention``."""
+    l_w, cells = config.l_w, config.g * config.g
+    pos = np.arange(l_w * cells)
+    b = np.zeros((l_w * cells, l_w + cells))
+    b[pos, pos // cells] = 1.0
+    b[pos, l_w + pos % cells] = 1.0
+    return Tensor(b)
+
+
 def map_pair(x: Tensor) -> tuple:
     """An (L, G, G, D) map as the glimpse pair (identity, [X; 0])."""
     flat = reshape(x, (-1, x.shape[-1]))
-    return None, transpose2d(concat_last([transpose2d(flat), Tensor(np.zeros((x.shape[-1], 1)))]))
+    return (Tensor(np.eye(flat.shape[0])),
+            transpose2d(concat_last([transpose2d(flat), Tensor(np.zeros((x.shape[-1], 1)))])))
 
 
 def pair_map(pair: tuple, shape: tuple) -> Tensor:
@@ -114,8 +127,8 @@ def pair_map(pair: tuple, shape: tuple) -> Tensor:
 def self_attention_map(x, params, config, collect=None, pool=False):
     """fusion.self_attention_pass on an (L, G, G, D_f) map X, given as the pair
     (identity, [X; 0]): the output map, or with ``pool`` its (L, D_f) grid mean."""
-    pair = fusion.self_attention_pass(map_pair(x), params, config, collect=collect, pool=pool)
-    return pair_map(pair, (config.l_w, config.d_f) if pool else x.shape)
+    out = fusion.self_attention_pass(map_pair(x), params, config, collect=collect, pool=pool)
+    return out if pool else pair_map(out, x.shape)
 
 
 def self_attention_composition(f_in, params, config, collect=None, pool=False):
@@ -194,16 +207,18 @@ def conv_relu_composition(x, weight, bias, stride=2, padding=1):
     return relu(conv2d(x, weight, bias, stride=stride, padding=padding))
 
 
-def backbone_composition(image, params):
-    """vision.backbone_forward with a conv2d and a relu node per layer."""
+def backbone_composition(image, params, patches=None):
+    """vision.backbone_forward with a conv2d and a relu node per layer, each
+    conv building its own patch rows (``patches`` is not read)."""
     x = image
     for layer in params.layers:
         x = conv_relu_composition(x, layer.weight, layer.bias)
     return x
 
 
-def classify_type_composition(image, params: TypeClassifierParams) -> TypeGate:
-    """vision.classify_type with a conv2d and a relu node for the stem."""
+def classify_type_composition(image, params: TypeClassifierParams, patches=None) -> TypeGate:
+    """vision.classify_type with a conv2d and a relu node for the stem, which
+    builds its own patch rows (``patches`` is not read)."""
     feats = conv_relu_composition(image, params.stem.weight, params.stem.bias)
     pooled = mean_over_axes(feats, (0, 1))
     logits = pointwise_channel_map(pooled, params.proj_w, params.proj_b)

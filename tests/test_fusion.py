@@ -1,5 +1,7 @@
 """Fusion tests: the multimodal map, attention passes, and the full fuse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from cmvqa import fusion
 from cmvqa.fusion import (
     CmsaConfig,
     CmsaState,
+    OneHotGrid,
     build_multimodal_map,
     cmsa_fuse,
     init_cmsa,
-    one_hot_basis,
     self_attention_pass,
 )
 from cmvqa.numerics import (
@@ -19,10 +21,15 @@ from cmvqa.numerics import (
     ShapeError,
     Tensor,
     add,
+    attention_glimpse,
     factor_rows,
+    glimpse_values,
     grad_check,
+    grid_attention,
     mean_over_axes,
     mul,
+    pooled_values,
+    reshape,
     sum_over_axes,
 )
 from cmvqa.question import QuestionEmbedding
@@ -32,6 +39,7 @@ from layer_oracles import (
     cmsa_fuse_composition,
     full_map_composition,
     map_pair,
+    one_hot_basis,
     pair_map,
     self_attention_composition,
     self_attention_map,
@@ -379,7 +387,7 @@ def _glimpse_input(gen, config, factors):
     if factors:
         v, s, q = random_inputs(gen, config)
         v.requires_grad = q.q.requires_grad = True
-        return (one_hot_basis(config), factor_rows(v, s, q.q)), (v, s, q.q)
+        return (OneHotGrid(config.l_w), factor_rows(v, s, q.q)), (v, s, q.q)
     shape = (config.l_w, config.g, config.g, config.d_f)
     x = Tensor(gen.standard_normal(shape), requires_grad=True)
     return map_pair(x), x
@@ -400,8 +408,7 @@ class TestPooledPass:
         full_shape = (config.l_w, config.g, config.g, config.d_f)
 
         def pooled():
-            return pair_map(self_attention_pass(pair, params, config, pool=True),
-                            (config.l_w, config.d_f))
+            return self_attention_pass(pair, params, config, pool=True)
 
         def full():
             return mean_over_axes(pair_map(self_attention_pass(pair, params, config),
@@ -442,25 +449,32 @@ class TestPooledPass:
         """At gradcheck dims no glimpse builds an (N, qkv) or (N, D_f) map,
         forward or backward: every product with a glimpse's weights runs on
         the r = L_w + G * G rows of the factor, or on those and the constant
-        row, recorded by shape."""
+        row, except the last glimpse's value and out maps, which run on its
+        L_w pooled rows; recorded by shape."""
         config = CmsaConfig(l_w=3, g=2, c_v=8, d_q=8, glimpses=glimpses)
         params = init_cmsa(Rng(22).gen, config)
         v, s, q = random_inputs(gen, config)
         v.requires_grad = True
         products = []
-        for gl in params.glimpses:
+        for i, gl in enumerate(params.glimpses):
             for name in ("q_w", "k_w", "v_w", "out_w"):
                 w = getattr(gl, name)
-                w.data = _Spy.of(w.data, name, products)
+                w.data = _Spy.of(w.data, (i, name), products)
         f_hat, state = cmsa_fuse(v, s, q, params, config)
         sum_over_axes(f_hat, (0, 1)).backward()
 
-        r, qkv, d_f = config.l_w + config.g ** 2, config.qkv_channels, config.d_f
+        l_w, r = config.l_w, config.l_w + config.g ** 2
+        qkv, d_f = config.qkv_channels, config.d_f
         # K's map skips the constant row; forward X W and backward g W^T
-        maps = {((rows, d_f), (d_f, qkv)) for rows in (r, r + 1)}
-        maps |= {((rows, qkv), (qkv, d_f)) for rows in (r, r + 1)}
+        shapes = {"q_w": ((d_f, qkv), (qkv, d_f)), "k_w": ((d_f, qkv), (qkv, d_f)),
+                  "v_w": ((d_f, qkv), (qkv, d_f)), "out_w": ((qkv, d_f), (d_f, qkv))}
         assert len(products) == 4 * 2 * glimpses
-        assert {shapes for _, shapes in products} <= maps
+        for tags, operands in products:
+            (i, name), = tags - {None}
+            pooled = i == glimpses - 1 and name in ("v_w", "out_w")
+            allowed = {((rows, w[0]), w) for w in shapes[name]
+                       for rows in ((l_w,) if pooled else (r, r + 1))}
+            assert operands in allowed, (i, name, operands)
         assert len(state.a) == len(state.q) == len(state.v) == glimpses
 
 
@@ -522,8 +536,11 @@ class TestGlimpseNode:
             total.backward()
             return [t.data for t in outs], state, [leaf.grad for leaf in leaves]
 
-        got = arrays(lambda f_in, state: pair_map(self_attention_pass(
-            f_in[0], params, config, collect=state, pool=pool), out_shape), CmsaState())
+        def attend(f_in, state):
+            out = self_attention_pass(f_in[0], params, config, collect=state, pool=pool)
+            return out if pool else pair_map(out, out_shape)
+
+        got = arrays(attend, CmsaState())
         want = arrays(lambda f_in, state: self_attention_composition(
             f_in[1], params, config, collect=state, pool=pool), Collected())
         for g, w in zip(got[0], want[0]):
@@ -632,3 +649,107 @@ class TestFactorPath:
             if not name.endswith("/k_b"):
                 err = float(_rel(g, ref[name]))
                 assert err <= max(REL_TOL, float(_rel(composed[name], ref[name]))), name
+
+
+# -- glimpse 0 on the one-hot grid ---------------------------------------------------
+
+
+def _peak_bytes(run):
+    """The most bytes ``run`` held at once beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        run()   # a first run, so later ones allocate only what they need
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridGlimpse:
+    """grid_attention against attention_glimpse on the one-hot basis it never
+    builds, pooled_values against glimpse_values and the grid mean, and no
+    (N, N) array in glimpse 0."""
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, dict(l_w=4, g=5, c_v=40, d_q=52)],
+                             ids=["gradcheck", "wide"])
+    def test_grid_attention_matches_attention_glimpse_on_one_hot_basis(self, gen, dims,
+                                                                         scaled, pool):
+        config = CmsaConfig(**dims, glimpses=1, scaled_attention=scaled)
+        params = init_cmsa(Rng(40).gen, config).glimpses[0]
+        weights = [params.q_w, params.q_b, params.k_w, params.k_b]
+        for w in weights:
+            w.data += gen.standard_normal(w.shape) * 0.1   # nonzero biases
+        r = config.l_w + config.g ** 2
+        phi = Tensor(gen.standard_normal((r + 1, config.d_f)) * 0.5, requires_grad=True)
+        rows = config.l_w if pool else config.n_positions
+        coeffs = Tensor(gen.standard_normal((rows, r)))
+        leaves = [phi] + weights
+
+        out, ab = grid_attention(phi, weights, config.l_w, scaled, pool)
+        want, a = attention_glimpse(one_hot_basis(config), phi, weights, scaled,
+                                    config.l_w if pool else 0)
+        assert out.shape == want.shape == (rows, r)
+        assert _rel(out.data, want.data) <= REL_TOL
+        l_w = config.l_w
+        grid_a = (ab[:, :l_w, None] * ab[:, None, l_w:]).reshape(config.n_positions, -1)
+        assert _rel(grid_a, a) <= REL_TOL
+        got_grads = _grads(lambda: sum_over_axes(mul(out, coeffs), (0, 1)), leaves)
+        for g, w in zip(got_grads, _grads(lambda: sum_over_axes(mul(want, coeffs), (0, 1)),
+                                          leaves)):
+            assert _rel(g, w) <= REL_TOL
+        assert not got_grads[-1].any()   # b_k's gradient: zeros, not None
+
+    @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, DESK_DIMS], ids=["gradcheck", "desk"])
+    def test_pooled_values_match_glimpse_values_then_grid_mean(self, gen, dims):
+        config = CmsaConfig(**dims, glimpses=1)
+        params = init_cmsa(Rng(41).gen, config).glimpses[0]
+        weights = [params.v_w, params.v_b, params.out_w, params.out_b]
+        for w in weights:
+            w.data += gen.standard_normal(w.shape) * 0.1
+        l_w, cells = config.l_w, config.g ** 2
+        r = l_w + cells
+        rows = Tensor(gen.random((config.n_positions, r)), requires_grad=True)
+        phi = Tensor(gen.standard_normal((r + 1, config.d_f)), requires_grad=True)
+        coeffs = Tensor(gen.standard_normal((l_w, config.d_f)))
+        leaves = [rows, phi] + weights
+
+        pooled_rows = mean_over_axes(reshape(rows, (l_w, cells, r)), (1,))
+        got = pooled_values(pooled_rows, phi, weights)
+        full = pair_map((rows, glimpse_values(phi, weights)), (l_w, cells, config.d_f))
+        want = mean_over_axes(full, (1,))
+        assert _rel(got.data, want.data) <= REL_TOL
+        for g, w in zip(_grads(lambda: sum_over_axes(mul(got, coeffs), (0, 1)), leaves),
+                        _grads(lambda: sum_over_axes(mul(want, coeffs), (0, 1)), leaves)):
+            assert _rel(g, w) <= REL_TOL
+
+    def test_glimpse0_builds_no_n_by_n_array(self, gen):
+        """With 24 words on a 7 x 7 grid, N = 1176 and an (N, N) float64 array
+        is 11 MB, while glimpse 0's own arrays are (N, r), r = 73: forward and
+        backward of glimpse 0, and the whole fuse and backward with one
+        glimpse, never hold 11 MB at once.  The same glimpse on the built
+        basis B_0 does."""
+        config = CmsaConfig(l_w=24, g=7, c_v=2, d_q=2, glimpses=1)
+        n_by_n = config.n_positions ** 2 * 8
+        params = init_cmsa(Rng(42).gen, config)
+        v, s, q = random_inputs(gen, config)
+        v.requires_grad = q.q.requires_grad = True
+        coeffs = Tensor(gen.standard_normal((config.n_positions, config.d_f)))
+
+        def glimpse0(b):
+            def run():
+                phi = factor_rows(v, s, q.q)
+                pair = self_attention_pass((b, phi), params.glimpses[0], config)
+                out = pair_map(pair, (config.n_positions, config.d_f))
+                sum_over_axes(mul(out, coeffs), (0, 1)).backward()
+            return run
+
+        def fuse():
+            sum_over_axes(cmsa_fuse(v, s, q, params, config)[0], (0, 1)).backward()
+
+        assert _peak_bytes(glimpse0(OneHotGrid(config.l_w))) < n_by_n
+        assert _peak_bytes(fuse) < n_by_n
+        assert _peak_bytes(glimpse0(one_hot_basis(config))) > n_by_n

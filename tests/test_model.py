@@ -172,7 +172,9 @@ class TestForward:
             counts.append(len(built))
         assert counts == [31, 20, 22, 22]
         assert built.count("lstm_sequence") == 1
-        assert built.count("attention_glimpse") == built.count("glimpse_values") == 1
+        # one glimpse: the grid attention, pooled, and the pooled value side
+        assert built.count("grid_attention") == built.count("pooled_values") == 1
+        assert built.count("attention_glimpse") == built.count("glimpse_values") == 0
         assert built.count("factor_rows") == built.count("factor_readout") == 1
 
     def test_gradcheck_objective_node_census(self, monkeypatch):
@@ -189,7 +191,8 @@ class TestForward:
         assert Counter(built) == {
             "conv2d_relu": 7,            # the gate stem and 2 layers per backbone
             "weighted_sum": 1,           # the blend
-            "attention_glimpse": 2, "glimpse_values": 2,   # two per glimpse
+            "grid_attention": 1, "glimpse_values": 1,      # glimpse 0
+            "attention_glimpse": 1, "pooled_values": 1,    # the last glimpse, pooled
             "factor_rows": 1, "factor_readout": 1,         # two per fuse
             "lstm_sequence": 1,
             "rows": 2, "concat_last": 1,  # embedding lookup

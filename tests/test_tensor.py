@@ -20,10 +20,13 @@ from cmvqa.numerics import (
     factor_rows,
     glimpse_values,
     grad_check,
+    grid_attention,
+    grid_rows,
     lstm_sequence,
     mean_over_axes,
     mul,
     pointwise_channel_map,
+    pooled_values,
     relu,
     reshape,
     rows,
@@ -36,7 +39,15 @@ from cmvqa.numerics import (
     upsample_nearest,
     weighted_sum,
 )
-from layer_oracles import conv2d, matmul, multimodal_channel_map, pair_map, transpose2d
+from cmvqa.numerics.tensor import _softmax
+from layer_oracles import (
+    conv2d,
+    matmul,
+    multimodal_channel_map,
+    one_hot_basis,
+    pair_map,
+    transpose2d,
+)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -244,7 +255,7 @@ def test_multimodal_channel_map_rejects_mismatched_shapes():
 def test_factor_rows_and_one_hot_basis_give_the_built_f(gen, l_w, g):
     """[B_0 | 1] Phi_0 is F bit for bit (each entry sums one nonzero and zeros),
     and its gradients are those of F's."""
-    from cmvqa.fusion import CmsaConfig, build_multimodal_map, one_hot_basis
+    from cmvqa.fusion import CmsaConfig, build_multimodal_map
     from cmvqa.question import QuestionEmbedding
 
     config = CmsaConfig(l_w=l_w, g=g, c_v=3, d_q=5, glimpses=1)
@@ -263,6 +274,9 @@ def test_factor_rows_and_one_hot_basis_give_the_built_f(gen, l_w, g):
     want = _forward_and_grads(oracle, inputs, out_grad)
     assert got[0].tobytes() == want[0].tobytes()
     _assert_close(got, want)
+    # grid_rows applies B_0 by broadcast, with the same bits
+    phi = factor_rows(*(Tensor(x) for x in inputs)).data
+    assert grid_rows(phi, l_w).tobytes() == want[0].reshape(-1, config.d_f).tobytes()
 
 
 # -- cross entropy --------------------------------------------------------------
@@ -448,13 +462,19 @@ OP_CASES = {
     "conv2d_relu": lambda p, g: conv2d_relu(p["img"], p["kern"], p["kb"], stride=2, padding=1),
     "weighted_sum": lambda p, g: weighted_sum(p["mix"], [p["a"], p["b"], p["c"]]),
     # a map as the pair (identity, Phi); and a factor pair with a tracked B
-    "attention_glimpse": lambda p, g: attention_glimpse(None, p["att_phi"], _weights(p, QK))[0],
+    "attention_glimpse": lambda p, g: attention_glimpse(
+        Tensor(np.eye(4)), p["att_phi"], _weights(p, QK))[0],
     "attention_glimpse[factors, pooled, scaled]": lambda p, g: attention_glimpse(
         p["att_b"], p["att_phi"], _weights(p, QK), scaled=True, pool=2)[0],
+    # Phi's 4 factor rows as 2 words and 2 cells
+    "grid_attention": lambda p, g: grid_attention(p["att_phi"], _weights(p, QK), 2)[0],
+    "grid_attention[pooled, scaled]": lambda p, g: grid_attention(
+        p["att_phi"], _weights(p, QK), 2, scaled=True, pool=True)[0],
     "glimpse_values": lambda p, g: glimpse_values(p["att_phi"], _weights(p, VO)),
+    "pooled_values": lambda p, g: pooled_values(p["att_bar"], p["att_phi"], _weights(p, VO)),
     "factor_rows": lambda p, g: factor_rows(p["grid"], p["fr_s"], p["words"]),
-    "factor_readout": lambda p, g: factor_readout(
-        [(p["att_bar"], p["att_phi"]), (p["m1"], p["fr_phi"])], p["ro_w"], p["ro_b"])[0],
+    # 3 words and 1 cell
+    "factor_readout": lambda p, g: factor_readout(p["att_bar"], p["fr_phi"], p["ro_w"], p["ro_b"]),
 }
 
 
@@ -561,9 +581,12 @@ def _touches(op_name: str, key: str) -> bool:
         "weighted_sum": {"mix", "a", "b", "c"},
         "attention_glimpse": {"att_phi", *QK},
         "attention_glimpse[factors, pooled, scaled]": {"att_b", "att_phi", *QK},
+        "grid_attention": {"att_phi", *QK},
+        "grid_attention[pooled, scaled]": {"att_phi", *QK},
         "glimpse_values": {"att_phi", *VO},
+        "pooled_values": {"att_bar", "att_phi", *VO},
         "factor_rows": {"grid", "fr_s", "words"},
-        "factor_readout": {"att_bar", "att_phi", "m1", "fr_phi", "ro_w", "ro_b"},
+        "factor_readout": {"att_bar", "fr_phi", "ro_w", "ro_b"},
     }
     return key in needed[op_name]
 
@@ -585,6 +608,15 @@ def test_forward_backward_bit_identical_across_runs():
     assert v1 == v2
     assert np.array_equal(ga1, ga2)
     assert np.array_equal(gb1, gb2)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (96, 96), (96, 6), (96, 16), (588, 588), (588, 12)])
+def test_softmax_in_place_bit_identical_to_expression(gen, shape):
+    """The softmax that exponentiates and divides one fresh array in place
+    gives the bytes of the plain expression, on attention-sized rows."""
+    x = gen.standard_normal(shape) * 4.0
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    assert _softmax(x).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
 
 def _sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
@@ -713,7 +745,7 @@ def test_attention_glimpse_rejects_mismatched_weights():
     phi = Tensor(np.zeros((3, 4)))
     weights = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (4, 3), (2,))]
     with pytest.raises(ShapeError, match="attention_glimpse weights"):
-        attention_glimpse(None, phi, weights)
+        attention_glimpse(Tensor(np.eye(2)), phi, weights)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -731,7 +763,13 @@ def test_attention_glimpse_rejects_mismatched_weights():
                                           stride=1, padding=0)),
     ("weighted_sum", lambda t: weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones(t.shape)), t])),
     ("attention_glimpse", lambda t: attention_glimpse(
-        None, t, [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,))])[0]),
+        Tensor(np.eye(1)), t, [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,))])[0]),
+    ("grid_attention", lambda t: grid_attention(
+        Tensor(t.data.reshape(3, 2)),
+        [Tensor(np.ones(shape)) for shape in ((2, 1), (1,), (2, 1), (1,))], 1)[0]),
+    ("pooled_values", lambda t: pooled_values(
+        Tensor(np.ones((1, 1))), t,
+        [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (1, 3), (3,))])),
 ])
 def test_non_finite_output_names_the_op(op_name, build, bad):
     x = np.arange(6.0).reshape(2, 3)

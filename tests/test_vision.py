@@ -9,6 +9,7 @@ from cmvqa.vision import (
     backbone_forward,
     blend,
     classify_type,
+    image_patches,
     init_backbone,
     init_type_classifier,
     spatial_map,
@@ -258,3 +259,34 @@ class TestEncodeImage:
 
         assert bits(classify_type, backbone_forward, blend) == bits(
             classify_type_composition, backbone_composition, blend_composition)
+
+    def test_shared_patches_bit_identical_to_unshared(self, gen):
+        """One image_patches for the gate stem and the three backbones' first
+        layers: every output and every gradient has the bits of convolutions
+        that each build their own patch rows, a tracked image included."""
+        rng = Rng(6)
+        backbones = [init_backbone(rng.child(name).gen, 16, 1, 2, 6)
+                     for name in ("abdomen", "head", "chest")]
+        gate_params = init_type_classifier(rng.child("gate").gen, 1)
+        images = [Tensor(gen.standard_normal((16, 16, 1)), requires_grad=i == 1)
+                  for i in range(2)]
+        coeffs = [Tensor(gen.standard_normal((2, 2, 6))) for _ in images]
+        leaves = [gate_params.stem.weight, gate_params.stem.bias, gate_params.proj_w,
+                  gate_params.proj_b, images[1]]
+        leaves += [t for bb in backbones for layer in bb.layers for t in (layer.weight, layer.bias)]
+
+        def bits(shared):
+            total, outs = None, []
+            for image, c in zip(images, coeffs):
+                patches = image_patches(image) if shared else None
+                gate = classify_type(image, gate_params, patches)
+                feats = [backbone_forward(image, bb, patches) for bb in backbones]
+                outs += [gate.logits, gate.w] + feats
+                term = sum_over_axes(mul(blend(*feats, gate), c), (0, 1, 2))
+                total = term if total is None else add(total, term)
+            for leaf in leaves:
+                leaf.zero_grad()
+            total.backward()
+            return [t.data.tobytes() for t in outs] + [leaf.grad.tobytes() for leaf in leaves]
+
+        assert bits(shared=True) == bits(shared=False)
