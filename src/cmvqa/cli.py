@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, pretrain, train, eval, gradcheck.
-Exit codes: 0 success, 2 configuration/usage error, 3 check failure.
+Exit codes: 0 success, 2 configuration/usage error, 3 check failure,
+4 numerical failure (outputs may be partial).
 """
 
 from __future__ import annotations
@@ -9,9 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .bundle import BundleError
 from .config import ConfigError, dump_config, load_config
-from .numerics import ShapeError
+from .numerics import NonFiniteError, ShapeError
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -35,6 +38,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ops raise NonFiniteError on NaN/Inf; numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -117,6 +122,9 @@ def main(argv=None) -> int:
     except (ConfigError, BundleError, ShapeError, ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except NonFiniteError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

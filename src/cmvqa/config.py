@@ -30,7 +30,6 @@ class RunConfig(DataConfig):
     d_q: int = 32
     d_emb: int = 16
     glimpses: int = 2
-    scaled_attention: bool = False
 
     # optimizer
     lr: float = 1e-3
@@ -71,7 +70,6 @@ class RunConfig(DataConfig):
             c_v=self.c_v,
             d_q=self.d_q,
             glimpses=self.glimpses if glimpses is None else glimpses,
-            scaled_attention=self.scaled_attention,
         )
 
     def validate(self) -> None:
@@ -113,20 +111,6 @@ class RunConfig(DataConfig):
                 raise ConfigError(f"{key} = {n} leaves the {empty} split empty")
 
 
-def _coerce(key: str, raw: str, target_type) -> object:
-    raw = raw.strip()
-    try:
-        if target_type is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return target_type(raw)
-    except ValueError as err:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from err
-
-
 def parse_config(text: str) -> RunConfig:
     hints = get_type_hints(RunConfig)
     valid = {f.name for f in fields(RunConfig)}
@@ -142,7 +126,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw, hints[key])
+        try:
+            values[key] = hints[key](raw)
+        except ValueError as err:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from err
     config = RunConfig(**values)
     config.validate()
     return config
@@ -159,10 +146,4 @@ def load_config(path) -> RunConfig:
 
 def dump_config(config: RunConfig) -> str:
     """Canonical key = value text; parse_config(dump_config(c)) == c."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(RunConfig))

@@ -56,7 +56,6 @@ class CmsaConfig:
     c_v: int
     d_q: int
     glimpses: int = 2
-    scaled_attention: bool = False
 
     @property
     def d_f(self) -> int:
@@ -194,10 +193,9 @@ def self_attention_pass(pair: tuple, params: GlimpseParams, config: CmsaConfig,
     qk = (params.q_w, params.q_b, params.k_w, params.k_b)
     vo = (params.v_w, params.v_b, params.out_w, params.out_b)
     if isinstance(b, OneHotGrid):
-        rows, att = grid_attention(phi, qk, b.l_w, config.scaled_attention, pool)
+        rows, att = grid_attention(phi, qk, b.l_w, pool)
     else:
-        rows, att = attention_glimpse(b, phi, qk, config.scaled_attention,
-                                      config.l_w if pool else 0)
+        rows, att = attention_glimpse(b, phi, qk, config.l_w if pool else 0)
     if collect is not None:
         collect.factors.append((b, phi, params))
         collect.attention.append(att)

@@ -3,8 +3,9 @@
 Gate weights are packed into one (d_in + d_h, 4 * d_h) matrix with column
 blocks ordered [input, forget, candidate, output], so a step costs one affine
 map plus the gate nonlinearities.  `lstm_sequence` runs every step as one
-autodiff node; `lstm_step` builds one step from the primitive ops and is the
-reference the sequence op reproduces bit for bit.
+autodiff node with a closed-form backward; `lstm_step` builds one step from
+the primitive ops and is the reference the sequence op agrees with, within a
+relative 1e-12.
 """
 
 from __future__ import annotations
@@ -56,14 +57,10 @@ def init_lstm(gen: np.random.Generator, d_in: int, d_h: int, forget_bias: float 
 
 def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
     """One gated recurrent update; returns (h_t, c_t)."""
-    d_h = params.hidden_size
-    d_in = params.input_size
-    if x_t.shape != (d_in,):
-        raise ShapeError(f"lstm_step input shape {x_t.shape} does not match params ({d_in},)")
-    if h_prev.shape != (d_h,) or c_prev.shape != (d_h,):
-        raise ShapeError(
-            f"lstm_step state shapes {h_prev.shape}/{c_prev.shape} do not match params ({d_h},)"
-        )
+    d_h, d_in = params.hidden_size, params.input_size
+    if x_t.shape != (d_in,) or h_prev.shape != (d_h,) or c_prev.shape != (d_h,):
+        raise ShapeError(f"lstm_step shapes {x_t.shape}, {h_prev.shape}, {c_prev.shape} do not "
+                         f"match params ({d_in},), ({d_h},), ({d_h},)")
     z = pointwise_channel_map(concat_last([x_t, h_prev]), params.w, params.b)
     i = sigmoid(slice_last(z, 0, d_h))
     f = sigmoid(slice_last(z, d_h, 2 * d_h))
@@ -78,71 +75,50 @@ def lstm_sequence(xs: Tensor, params: LstmParams) -> Tensor:
     """Run the LSTM from zero state over the rows of xs (L, d_in) and return
     every hidden state, H (L, d_h), as one autodiff node.
 
-    Each step evaluates the numpy expressions `lstm_step`'s ops evaluate, and
-    the backward is their chain rule in the same order, so H and every
-    gradient equal the per-step graph's bit for bit.  The weight and bias
-    appear once per step among the node's parents and get one gradient term
-    per step, latest step first, which is the order in which the per-step
-    graph adds them into a shared leaf, at any batch size.
+    The input projection X W_x + b is one product for all steps, and each
+    step adds h_{t-1} W_h to its row.  The backward runs the recursion for
+    each step's pre-activation gradient g_z, then takes the input, weight
+    and bias gradients as one product each: G_z W_x^T, [X | H_prev]^T G_z
+    and the column sums of G_z.
     """
     d_h, d_in = params.hidden_size, params.input_size
     if xs.data.ndim != 2 or xs.shape[0] < 1 or xs.shape[1] != d_in:
         raise ShapeError(f"lstm_sequence input shape {xs.shape} is not (L >= 1, {d_in})")
-    w, b = params.w.data, params.b.data
+    w_x, w_h = params.w.data[:d_in], params.w.data[d_in:]
     steps = xs.shape[0]
     cand = slice(2 * d_h, 3 * d_h)
-    hxs = np.empty((steps, d_in + d_h))  # [x_t | h_{t-1}], the affine map's input
-    zs = np.empty((steps, 4 * d_h))  # checked for overflow, which the gates would hide
+    zs = xs.data @ w_x + params.b.data  # checked for overflow, which the gates would hide
     acts = np.empty((steps, 4 * d_h))  # [i, f, g, o]
-    # what each gate's gradient is the upstream gradient times: [g, c_{t-1}, i, tanh(c_t)]
-    factors = np.empty((steps, 4 * d_h))
-    out = np.empty((steps, d_h))
-    h = c = np.zeros(d_h)
+    hs = np.zeros((steps + 1, d_h))  # h_{-1} = 0, then H
+    cs = np.zeros((steps + 1, d_h))  # c_{-1} = 0, then every c_t
     for t in range(steps):
-        hx = np.concatenate([xs.data[t], h])
-        z = hx @ w + b
-        s = logistic(z)
-        i, f, o = s[:d_h], s[d_h : 2 * d_h], s[3 * d_h :]
-        g = np.tanh(z[cand])
-        c_prev = c
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hxs[t], zs[t], acts[t], out[t] = hx, z, s, h
-        acts[t, cand] = g
-        factors[t] = np.concatenate([g, c_prev, i, tc])
+        zs[t] += hs[t] @ w_h
+        s = logistic(zs[t])
+        s[cand] = np.tanh(zs[t, cand])
+        acts[t] = s
+        cs[t + 1] = s[d_h : 2 * d_h] * cs[t] + s[:d_h] * s[cand]
+        hs[t + 1] = s[3 * d_h :] * np.tanh(cs[t + 1])
     if not _all_true(_isfinite(zs), None):
         raise NonFiniteError("lstm_sequence")
 
     def back(g_out: np.ndarray):
-        # for upstream u, a sigmoid gate's gradient is (u * s) * (1 - s) and the
-        # candidate's u * (1 - g * g): with 1 for s in the candidate's block, one
-        # pair of factors serves all four blocks
-        s_factor = acts.copy()
-        s_factor[:, cand] = 1.0
-        s_comp = 1.0 - acts
-        s_comp[:, cand] = 1.0 - acts[:, cand] * acts[:, cand]
-        tanh_comp = 1.0 - factors[:, 3 * d_h :] * factors[:, 3 * d_h :]
+        i, f, g, o = (acts[:, k * d_h : (k + 1) * d_h] for k in range(4))
+        tc = np.tanh(cs[1:])
+        # g_z is [g_c, g_c, g_c, g_h] times jac: each gate's derivative times
+        # what the gate multiplies in c_t = f c_{t-1} + i g or h_t = o tanh(c_t)
+        jac = acts * (1.0 - acts)
+        jac[:, cand] = 1.0 - g * g
+        jac *= np.concatenate([g, cs[:-1], i, tc], axis=1)
+        dc_dh = o * (1.0 - tc * tc)
         gzs = np.empty((steps, 4 * d_h))
-        gxs = np.empty((steps, d_in))
-        gh = gc_carry = None
+        gh = gc = np.zeros(d_h)
         for t in range(steps - 1, -1, -1):
-            gh = g_out[t] if gh is None else g_out[t] + gh
-            gc = gh * acts[t, 3 * d_h :] * tanh_comp[t]
-            if gc_carry is not None:
-                gc = gc + gc_carry
-            gz = np.concatenate([gc, gc, gc, gh]) * factors[t] * s_factor[t] * s_comp[t]
-            # the per-step graph summed the four gate gradients into zeros,
-            # which turns -0.0 into +0.0
-            gz += 0.0
-            ghx = gz @ w.T
-            gzs[t], gxs[t] = gz, ghx[:d_in]
-            gh = ghx[d_in:]
-            gc_carry = gc * acts[t, d_h : 2 * d_h]
-        # the per-step graph's K = 1 GEMMs and row gathers also summed into zeros
-        gw_steps = hxs[:, :, None] * gzs[:, None, :]
-        gw_steps += 0.0
-        gxs += 0.0
-        return (gxs,) + tuple(gw_steps[::-1]) + tuple(gzs[::-1])
+            gh = g_out[t] + gh
+            gc = gh * dc_dh[t] + gc
+            gzs[t] = np.concatenate([gc, gc, gc, gh]) * jac[t]
+            gh = gzs[t] @ w_h.T
+            gc = gc * f[t]
+        hx = np.concatenate([xs.data, hs[:-1]], axis=1)
+        return gzs @ w_x.T, hx.T @ gzs, np.add.reduce(gzs, axis=0)
 
-    return _node(out, (xs,) + (params.w,) * steps + (params.b,) * steps, back, "lstm_sequence")
+    return _node(hs[1:], (xs, params.w, params.b), back, "lstm_sequence")

@@ -219,10 +219,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def weighted_sum(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
     """(w[0] * parts[0] + w[1] * parts[1]) + ... as one node: the sum, left to
-    right, of equally shaped tensors scaled by the entries of the (K,) w.
-
-    Values and gradients equal those of mul(broadcast_to(slice_last(w, k, k + 1),
-    shape), parts[k]) folded with add, for K >= 2."""
+    right, of equally shaped tensors scaled by the entries of the (K,) w."""
     parts = tuple(parts)
     shape = parts[0].shape
     if w.shape != (len(parts),) or any(p.shape != shape for p in parts):
@@ -236,19 +233,10 @@ def weighted_sum(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
             _checked(data, "weighted_sum", f"sum of terms 0-{k}")
 
     def back(g: np.ndarray):
-        # each weight's gradient came from slice_last's zero-filled (K,)
-        # arrays, whose sum turns -0.0 into +0.0 (numpy 2's sums return +0.0
-        # for all -0.0 terms, so this shows only where a sum can keep -0.0)
         gw = np.concatenate([_unbroadcast(g * p.data, (1,)) for p in parts])
-        gw += 0.0
-        g_parts = tuple(g * weights[k] for k in range(len(parts)))
-        return g_parts[:-1] + (gw,) + g_parts[-1:]
+        return (gw,) + tuple(g * weights[k] for k in range(len(parts)))
 
-    # The graph walk takes parents last-listed first, and the composition's
-    # walk reached the last part, then w, then the other parts: listed in that
-    # order, a tensor upstream of both w and a part gets its gradient terms in
-    # the composition's order.
-    return _node(data, parts[:-1] + (w,) + parts[-1:], back, "weighted_sum")
+    return _node(data, (w,) + parts, back, "weighted_sum")
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -416,8 +404,13 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_back(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    dot = (g * out).sum(axis=1, keepdims=True)
-    return out * (g - dot)
+    """The gradient of the rows of softmax ``out`` from g, which may hold one
+    row per group of consecutive rows of ``out`` that share it."""
+    out3 = out.reshape(len(g), -1, out.shape[1])
+    g = g[:, None]
+    g_in = g - np.add.reduce(g * out3, axis=2, keepdims=True)
+    g_in *= out3
+    return g_in.reshape(out.shape)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
@@ -567,7 +560,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 # basis B_0 is one-hot at word i and at cell L + p in row (i, p); it is never
 # built, as ``grid_rows`` applies it by broadcast.
 
-_OVERFLOW = "attention logits overflowed; consider enabling scaled_attention"
+_OVERFLOW = "attention logits overflowed"
 
 
 def _rows_affine(phi: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -593,9 +586,9 @@ def grid_rows(m: np.ndarray, l_w: int) -> np.ndarray:
     return (m[:l_w, None] + m[None, l_w:-1]).reshape(-1, m.shape[1]) + m[-1]
 
 
-def _logit_factor(phi: Tensor, weights: Sequence[Tensor], scaled: bool, op: str):
+def _logit_factor(phi: Tensor, weights: Sequence[Tensor], op: str):
     """Phi_q = Phi W_q + e b_q^T, Phi_k = Phi W_k less the constant row, and
-    the (r + 1, r) M = Phi_q Phi_k^T, divided by sqrt(qkv) when ``scaled``."""
+    the (r + 1, r) M = Phi_q Phi_k^T."""
     q_w, q_b, k_w, k_b = weights
     d_f, qkv = q_w.shape
     if k_w.shape != (d_f, qkv) or q_b.shape != (qkv,) or k_b.shape != (qkv,):
@@ -604,28 +597,22 @@ def _logit_factor(phi: Tensor, weights: Sequence[Tensor], scaled: bool, op: str)
         raise ShapeError(f"{op} factor {phi.shape}, D = {d_f}")
     phi_q = _checked(_rows_affine(phi.data, q_w.data, q_b.data), op, "q map")
     phi_k = _checked(phi.data[:-1] @ k_w.data, op, "k map")
-    m = phi_q @ phi_k.T
-    if scaled:
-        m = m * (1.0 / np.sqrt(qkv))
-    return phi_q, phi_k, _checked(m, op, _OVERFLOW)
+    return phi_q, phi_k, _checked(phi_q @ phi_k.T, op, _OVERFLOW)
 
 
 def _logit_factor_back(phi: Tensor, weights: Sequence[Tensor], phi_q: np.ndarray,
-                       phi_k: np.ndarray, g_m: np.ndarray, scaled: bool) -> tuple:
+                       phi_k: np.ndarray, g_m: np.ndarray) -> tuple:
     """Gradients (Phi, W_q, b_q, W_k, b_k) of ``_logit_factor`` from that of M.
     b_k's is zero: the logits leave K's constant row out."""
     q_w, _, k_w, _ = weights
-    qkv = q_w.shape[1]
-    if scaled:
-        g_m = g_m * (1.0 / np.sqrt(qkv))
     g_phi, g_qw, g_qb = _rows_affine_back(phi.data, q_w.data, g_m @ phi_k)
     g_phi_k = g_m.T @ phi_q
     g_phi[:-1] += g_phi_k @ k_w.data.T
-    return g_phi, g_qw, g_qb, phi.data[:-1].T @ g_phi_k, np.zeros(qkv)
+    return g_phi, g_qw, g_qb, phi.data[:-1].T @ g_phi_k, np.zeros(q_w.shape[1])
 
 
 def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
-                      scaled: bool = False, pool: int = 0) -> tuple[Tensor, np.ndarray]:
+                      pool: int = 0) -> tuple[Tensor, np.ndarray]:
     """The attention of one glimpse over F = [B | 1] Phi as one node:
     Q = [B | 1] (Phi W_q + e b_q^T), K likewise, A = softmax_rows(Q K^T), and
     the output A B, or with ``pool`` = L the (L, r) P A B, P averaging A's
@@ -637,13 +624,13 @@ def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
     logits by a constant, which the softmax cancels, so the key side drops it:
     B_c is B less its mean row, K's constant row is left out, and b_k gets a
     zero gradient.  Leaving out that cancellation keeps digits a nearly uniform
-    attention would lose.  ``weights`` is (q_w, q_b, k_w, k_b); ``scaled``
-    divides the logits by sqrt(qkv).  Returns the node and A."""
+    attention would lose.  ``weights`` is (q_w, q_b, k_w, k_b).  Returns the
+    node and A."""
     op = "attention_glimpse"
     n = b.shape[0]
     if b.data.ndim != 2 or b.shape[1] != phi.shape[0] - 1 or (pool and n % pool):
         raise ShapeError(f"{op} factors {b.shape} and {phi.shape}, pooled over {pool}")
-    phi_q, phi_k, m = _logit_factor(phi, weights, scaled, op)
+    phi_q, phi_k, m = _logit_factor(phi, weights, op)
     bd = b.data
     bc = bd - np.add.reduce(bd, axis=0) / n
     a = _checked(_softmax(_checked(_with_ones(bd, m) @ bc.T, op, _OVERFLOW)), op, "attention")
@@ -651,9 +638,9 @@ def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
     rows = np.add.reduce(a.reshape(pool, per, n), axis=1) / per if pool else a
 
     def back(g: np.ndarray):
-        g_a = g @ bd.T
+        g_a = g @ bd.T   # with ``pool``, one row per group of A's rows
         if pool:
-            g_a = np.repeat(g_a / per, per, axis=0)
+            g_a /= per
         g_l = _softmax_back(a, g_a)
         del g_a
         u = g_l @ bc   # the gradient of [B | 1] M; that of M is [B | 1]^T u
@@ -663,12 +650,12 @@ def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
             g_bc = np.hstack([g_l.T @ bd, g_l.sum(axis=0)[:, None]]) @ m   # g_L^T [B | 1] M
             g_b = rows.T @ g + u @ m[:-1].T + (g_bc - np.add.reduce(g_bc, axis=0) / n)
         del g_l, u
-        return (g_b,) + _logit_factor_back(phi, weights, phi_q, phi_k, g_m, scaled)
+        return (g_b,) + _logit_factor_back(phi, weights, phi_q, phi_k, g_m)
 
     return _node(rows @ bd, (b, phi, *weights), back, op), a
 
 
-def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int, scaled: bool = False,
+def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int,
                    pool: bool = False) -> tuple[Tensor, np.ndarray]:
     """Glimpse 0's attention over F = [B_0 | 1] Phi as one node, B_0 the
     one-hot basis of ``grid_rows``: the values of ``attention_glimpse`` on
@@ -684,7 +671,7 @@ def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int, scaled: boo
     cells = r - l_w
     if l_w < 1 or cells < 1:
         raise ShapeError(f"{op} of a factor {phi.shape} over {l_w} words")
-    phi_q, phi_k, m = _logit_factor(phi, weights, scaled, op)
+    phi_q, phi_k, m = _logit_factor(phi, weights, op)
     t = _checked(grid_rows(m, l_w), op, _OVERFLOW)
     ab = _checked(np.concatenate((_softmax(t[:, :l_w]), _softmax(t[:, l_w:])), axis=1), op,
                   "attention")
@@ -702,7 +689,7 @@ def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int, scaled: boo
         g_3 = g_t.reshape(l_w, cells, r)
         g_m = np.concatenate((np.add.reduce(g_3, axis=1), np.add.reduce(g_3, axis=0),
                               np.add.reduce(g_t, axis=0, keepdims=True)))
-        return _logit_factor_back(phi, weights, phi_q, phi_k, g_m, scaled)
+        return _logit_factor_back(phi, weights, phi_q, phi_k, g_m)
 
     out = np.add.reduce(ab.reshape(l_w, cells, r), axis=1) / cells if pool else ab
     return _node(out, (phi, *weights), back, op), ab

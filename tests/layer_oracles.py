@@ -24,7 +24,6 @@ from cmvqa.numerics import (
     pointwise_channel_map,
     relu,
     reshape,
-    scale,
     slice_last,
     softmax_rows,
 )
@@ -135,7 +134,7 @@ def self_attention_composition(f_in, params, config, collect=None, pool=False):
     """The glimpse over an (L, G, G, D_f) map or over F's factor triple (v, s, q),
     built from primitive ops, one node per op: Q/K/V maps, attention, out map of
     A V, or with ``pool`` the (L, D_f) grid mean of the output."""
-    l_w, g, d_f, qkv = config.l_w, config.g, config.d_f, config.qkv_channels
+    l_w, g, d_f = config.l_w, config.g, config.d_f
     n = config.n_positions
     if isinstance(f_in, tuple):
         _check_factors(*f_in, config)
@@ -152,14 +151,9 @@ def self_attention_composition(f_in, params, config, collect=None, pool=False):
     v = None if pool and x is not None else channel_map(params.v_w, params.v_b)
 
     try:
-        logits = matmul(q, transpose2d(k))
-        if config.scaled_attention:
-            logits = scale(logits, 1.0 / np.sqrt(qkv))
-        a = softmax_rows(logits)
+        a = softmax_rows(matmul(q, transpose2d(k)))
     except NonFiniteError as err:
-        raise NonFiniteError(
-            "attention logits overflowed; consider enabling scaled_attention"
-        ) from err
+        raise NonFiniteError("attention logits overflowed") from err
 
     if collect is not None:
         collect.q.append(q)

@@ -142,8 +142,6 @@ def attention_loop_oracle(f_map, params, config):
     a = np.empty((n, n))
     for i in range(n):
         logits = np.array([sum(q[i, c] * k[j, c] for c in range(qkv)) for j in range(n)])
-        if config.scaled_attention:
-            logits = logits / np.sqrt(qkv)
         shifted = np.exp(logits - logits.max())
         a[i] = shifted / shifted.sum()
     mid = np.empty((n, qkv))

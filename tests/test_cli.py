@@ -195,6 +195,21 @@ class TestErrors:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+class TestNumericalFailure:
+    def test_overflow_is_one_line_and_exit_4(self, workspace, tmp_path, capsys, recwarn):
+        """An lr that passes validation but overflows the first update: one
+        error line naming the op, no traceback and no numpy warning, exit
+        code 4."""
+        _, cfg = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text().replace("steps = 4", "steps = 4\nlr = 1e300"))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite values produced by operation ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestGradCheckCommand:
     def test_passing_check_exits_zero(self, tmp_path, capsys):
         cfg = tmp_path / "gc.cfg"

@@ -35,16 +35,11 @@ class TestParsing:
         # untouched keys keep their defaults
         assert config.batch_size == RunConfig().batch_size
 
-    @pytest.mark.parametrize("raw,expected", [
-        ("true", True), ("True", True), ("1", True), ("yes", True),
-        ("false", False), ("0", False), ("no", False),
-    ])
-    def test_bool_spellings(self, raw, expected):
-        assert parse_config(f"scaled_attention = {raw}").scaled_attention is expected
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("learning_rate = 0.1")
+    # attention logits are never scaled, so the old switch is an unknown key
+    @pytest.mark.parametrize("key", ["learning_rate", "scaled_attention"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = true")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -53,10 +48,6 @@ class TestParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("steps = many")
-
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ConfigError, match="bad value"):
-            parse_config("scaled_attention = maybe")
 
     def test_line_without_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -87,7 +78,7 @@ class TestValidation:
 class TestRoundTrip:
     def test_dump_then_parse_is_identity(self):
         config = parse_config(
-            "seed = 7\nlr = 0.0005\nscaled_attention = true\nglimpses = 3\n"
+            "seed = 7\nlr = 0.0005\nglimpses = 3\n"
             "pretrain_mode = single\nnoise = 0.25\ntrain_frac = 0.5"
         )
         assert parse_config(dump_config(config)) == config

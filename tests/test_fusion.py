@@ -64,7 +64,7 @@ def random_inputs(gen, config):
 # -- attention loop oracle -------------------------------------------------------
 
 
-def attention_oracle(f_flat, qw, qb, kw, kb, vw, vb, ow, ob, scaled=False):
+def attention_oracle(f_flat, qw, qb, kw, kb, vw, vb, ow, ob):
     """Naive per-pair attention: explicit dot products and weighted sums."""
     n = f_flat.shape[0]
     q = np.array([f_flat[i] @ qw + qb for i in range(n)])
@@ -74,8 +74,6 @@ def attention_oracle(f_flat, qw, qb, kw, kb, vw, vb, ow, ob, scaled=False):
     out = np.zeros((n, f_flat.shape[1]))
     for i in range(n):
         logits = np.array([q[i] @ k[j] for j in range(n)])
-        if scaled:
-            logits = logits / np.sqrt(d)
         logits -= logits.max()
         weights = np.exp(logits)
         weights /= weights.sum()
@@ -141,11 +139,12 @@ class TestSelfAttentionPass:
         flat = out.reshape(config.n_positions, config.d_f)
         assert np.abs(flat - flat[0]).max() < 1e-9
 
-    def test_nonfinite_logits_suggest_scaling(self):
+    def test_nonfinite_logits_named(self):
         config = small_config(glimpses=1)
         params = init_cmsa(Rng(2).gen, config).glimpses[0]
         f = np.full((config.l_w, config.g, config.g, config.d_f), 1e160)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="scaled_attention"):
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="attention logits overflowed"):
             self_attention_map(Tensor(f), params, config)
 
     def test_row_stochastic_attention(self, gen):
@@ -157,21 +156,6 @@ class TestSelfAttentionPass:
         a = state.a[0].data
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-9
         assert (a >= 0).all()
-
-    def test_scaled_variant_divides_logits(self, gen):
-        config = small_config(glimpses=1, scaled_attention=True)
-        params = init_cmsa(Rng(4).gen, config).glimpses[0]
-        f = gen.standard_normal((config.l_w, config.g, config.g, config.d_f))
-        out_scaled = self_attention_map(Tensor(f), params, config).data
-        expected = attention_oracle(
-            f.reshape(-1, config.d_f),
-            params.q_w.data, params.q_b.data,
-            params.k_w.data, params.k_b.data,
-            params.v_w.data, params.v_b.data,
-            params.out_w.data, params.out_b.data,
-            scaled=True,
-        ).reshape(out_scaled.shape)
-        assert np.abs(out_scaled - expected).max() <= 1e-9
 
 
 # -- multimodal map ----------------------------------------------------------------
@@ -397,9 +381,8 @@ class TestPooledPass:
     """pool=True equals the grid mean of the full pass, in value and gradient."""
 
     @pytest.mark.parametrize("factors", [False, True], ids=["map", "factors"])
-    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
-    def test_matches_mean_of_full_pass(self, gen, factors, scaled):
-        config = CmsaConfig(l_w=3, g=2, c_v=3, d_q=4, glimpses=1, scaled_attention=scaled)
+    def test_matches_mean_of_full_pass(self, gen, factors):
+        config = CmsaConfig(l_w=3, g=2, c_v=3, d_q=4, glimpses=1)
         params = init_cmsa(Rng(20).gen, config).glimpses[0]
         for p in vars(params).values():
             p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
@@ -509,11 +492,10 @@ class TestGlimpseNode:
 
     @pytest.mark.parametrize("factors", [False, True], ids=["map", "factors"])
     @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
-    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     @pytest.mark.parametrize("dims", [dict(l_w=3, g=2, c_v=3, d_q=4),
                                       dict(l_w=4, g=5, c_v=40, d_q=52)], ids=["small", "wide"])
-    def test_batch_of_three_bit_identical_to_composition(self, gen, factors, pool, scaled, dims):
-        config = CmsaConfig(**dims, glimpses=1, scaled_attention=scaled)
+    def test_batch_of_three_bit_identical_to_composition(self, gen, factors, pool, dims):
+        config = CmsaConfig(**dims, glimpses=1)
         params = init_cmsa(Rng(30).gen, config).glimpses[0]
         for p in vars(params).values():
             p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
@@ -618,12 +600,10 @@ def _assert_fuse_matches_composition(config):
 
 
 class TestFactorPath:
-    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     @pytest.mark.parametrize("glimpses", [1, 2])
     @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, DESK_DIMS], ids=["gradcheck", "desk"])
-    def test_fuse_matches_composition(self, dims, glimpses, scaled):
-        _assert_fuse_matches_composition(
-            CmsaConfig(**dims, glimpses=glimpses, scaled_attention=scaled))
+    def test_fuse_matches_composition(self, dims, glimpses):
+        _assert_fuse_matches_composition(CmsaConfig(**dims, glimpses=glimpses))
 
     def test_paper_dims_match_composition(self):
         """f_hat, the 18 parameter gradients and those of v and q at N = 588,
@@ -632,15 +612,14 @@ class TestFactorPath:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
-    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, DESK_DIMS], ids=["gradcheck", "desk"])
-    def test_three_glimpses_at_least_as_accurate_as_composition(self, dims, scaled):
+    def test_three_glimpses_at_least_as_accurate_as_composition(self, dims):
         """A third glimpse attends over rows two glimpses have nearly averaged,
         so the gradients of its Q and K maps cancel and float64 loses digits.
         Against the composition run in 80-bit long double, every gradient of
         the factor path is within 1e-12, or no further off than the float64
         composition."""
-        config = CmsaConfig(**dims, glimpses=3, scaled_attention=scaled)
+        config = CmsaConfig(**dims, glimpses=3)
         case = _fuse_case(config)
         ref = _fuse_grads(cmsa_fuse_composition, config, case, np.longdouble)[1]
         got = _fuse_grads(cmsa_fuse, config, case)[1]
@@ -673,12 +652,10 @@ class TestGridGlimpse:
     (N, N) array in glimpse 0."""
 
     @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
-    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, dict(l_w=4, g=5, c_v=40, d_q=52)],
                              ids=["gradcheck", "wide"])
-    def test_grid_attention_matches_attention_glimpse_on_one_hot_basis(self, gen, dims,
-                                                                         scaled, pool):
-        config = CmsaConfig(**dims, glimpses=1, scaled_attention=scaled)
+    def test_grid_attention_matches_attention_glimpse_on_one_hot_basis(self, gen, dims, pool):
+        config = CmsaConfig(**dims, glimpses=1)
         params = init_cmsa(Rng(40).gen, config).glimpses[0]
         weights = [params.q_w, params.q_b, params.k_w, params.k_b]
         for w in weights:
@@ -689,8 +666,8 @@ class TestGridGlimpse:
         coeffs = Tensor(gen.standard_normal((rows, r)))
         leaves = [phi] + weights
 
-        out, ab = grid_attention(phi, weights, config.l_w, scaled, pool)
-        want, a = attention_glimpse(one_hot_basis(config), phi, weights, scaled,
+        out, ab = grid_attention(phi, weights, config.l_w, pool)
+        want, a = attention_glimpse(one_hot_basis(config), phi, weights,
                                     config.l_w if pool else 0)
         assert out.shape == want.shape == (rows, r)
         assert _rel(out.data, want.data) <= REL_TOL

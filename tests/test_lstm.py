@@ -103,7 +103,7 @@ def test_two_steps_chain_gradient(gen):
 
 def _step_graph_loss(xs: Tensor, params, coeffs: np.ndarray):
     """sum_t <h_t, coeffs[t]> over a graph of lstm_step calls, each input row
-    gathered by `rows`: the per-step graph lstm_sequence reproduces."""
+    gathered by `rows`: the per-step graph lstm_sequence is checked against."""
     d_h = params.hidden_size
     h, c = Tensor(np.zeros(d_h)), Tensor(np.zeros(d_h))
     loss, hs = None, []
@@ -120,13 +120,19 @@ def _sequence_loss(xs: Tensor, params, coeffs: np.ndarray):
     return sum_over_axes(mul(hidden, Tensor(coeffs)), (0, 1)), hidden.data
 
 
+def _rel(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("l_w, d_in, d_h", [(6, 16, 32), (3, 6, 8), (5, 3, 7), (1, 4, 3)])
-def test_sequence_bit_identical_to_step_graph(batch, l_w, d_in, d_h):
-    """H and every gradient, with the parameters shared by `batch` sequences
-    whose losses are summed, as a training batch shares them."""
+def test_sequence_matches_step_graph(batch, l_w, d_in, d_h):
+    """H and every gradient within a relative 1e-12 of the per-step graph,
+    with the parameters shared by `batch` sequences whose losses are summed,
+    as a training batch shares them; two runs of the sequence op are
+    byte-equal."""
     results = []
-    for build in (_step_graph_loss, _sequence_loss):
+    for build in (_step_graph_loss, _sequence_loss, _sequence_loss):
         gen = np.random.default_rng(31 * l_w + batch)
         params = init_lstm(gen, d_in, d_h)
         params.w.data *= 3.0  # reach the saturated ends of the gates too
@@ -140,9 +146,11 @@ def test_sequence_bit_identical_to_step_graph(batch, l_w, d_in, d_h):
             total = loss if total is None else add(total, loss)
             hidden.append(h)
         total.backward()
-        results.append([h.tobytes() for h in hidden] + [t.grad.tobytes() for t in tables]
-                       + [params.w.grad.tobytes(), params.b.grad.tobytes()])
-    assert results[0] == results[1]
+        results.append(hidden + [t.grad for t in tables] + [params.w.grad, params.b.grad])
+    want, got, again = results
+    for g, w in zip(got, want):
+        assert _rel(g, w) <= 1e-12
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in again]
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (4, 5), (3,)])

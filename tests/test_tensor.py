@@ -464,12 +464,12 @@ OP_CASES = {
     # a map as the pair (identity, Phi); and a factor pair with a tracked B
     "attention_glimpse": lambda p, g: attention_glimpse(
         Tensor(np.eye(4)), p["att_phi"], _weights(p, QK))[0],
-    "attention_glimpse[factors, pooled, scaled]": lambda p, g: attention_glimpse(
-        p["att_b"], p["att_phi"], _weights(p, QK), scaled=True, pool=2)[0],
+    "attention_glimpse[factors, pooled]": lambda p, g: attention_glimpse(
+        p["att_b"], p["att_phi"], _weights(p, QK), pool=2)[0],
     # Phi's 4 factor rows as 2 words and 2 cells
     "grid_attention": lambda p, g: grid_attention(p["att_phi"], _weights(p, QK), 2)[0],
-    "grid_attention[pooled, scaled]": lambda p, g: grid_attention(
-        p["att_phi"], _weights(p, QK), 2, scaled=True, pool=True)[0],
+    "grid_attention[pooled]": lambda p, g: grid_attention(
+        p["att_phi"], _weights(p, QK), 2, pool=True)[0],
     "glimpse_values": lambda p, g: glimpse_values(p["att_phi"], _weights(p, VO)),
     "pooled_values": lambda p, g: pooled_values(p["att_bar"], p["att_phi"], _weights(p, VO)),
     "factor_rows": lambda p, g: factor_rows(p["grid"], p["fr_s"], p["words"]),
@@ -580,9 +580,9 @@ def _touches(op_name: str, key: str) -> bool:
         "conv2d_relu": {"img", "kern", "kb"},
         "weighted_sum": {"mix", "a", "b", "c"},
         "attention_glimpse": {"att_phi", *QK},
-        "attention_glimpse[factors, pooled, scaled]": {"att_b", "att_phi", *QK},
+        "attention_glimpse[factors, pooled]": {"att_b", "att_phi", *QK},
         "grid_attention": {"att_phi", *QK},
-        "grid_attention[pooled, scaled]": {"att_phi", *QK},
+        "grid_attention[pooled]": {"att_phi", *QK},
         "glimpse_values": {"att_phi", *VO},
         "pooled_values": {"att_bar", "att_phi", *VO},
         "factor_rows": {"grid", "fr_s", "words"},
