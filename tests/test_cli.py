@@ -209,6 +209,15 @@ class TestNumericalFailure:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_pretrain_overflow_is_one_line_and_exit_4(self, workspace, tmp_path, capsys):
+        _, cfg = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text().replace("steps = 4", "steps = 4\nlr = 1e300"))
+        assert main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite values produced by operation ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestGradCheckCommand:
     def test_passing_check_exits_zero(self, tmp_path, capsys):

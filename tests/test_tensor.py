@@ -553,6 +553,21 @@ def test_ops_never_write_into_their_inputs(op_name):
         assert (t.grad is not None) == _touches(op_name, k)
 
 
+@pytest.mark.parametrize("op_name", sorted(OP_CASES))
+def test_every_op_is_one_node_with_each_input_once(op_name):
+    """Every op, layer nodes included, returns one node whose parents are its
+    inputs, each listed once: the tracked ones are exactly those it reads,
+    and the rest are untracked constants."""
+    gen = np.random.default_rng(7)
+    params = _op_inputs(gen)
+    out = OP_CASES[op_name](params, gen)
+    assert out._op == op_name.split("[")[0]
+    parents = [id(p) for p in out._parents]
+    assert len(set(parents)) == len(parents)
+    tracked = {id(p) for p in out._parents if p.requires_grad}
+    assert tracked == {id(t) for k, t in params.items() if _touches(op_name, k)}
+
+
 def _touches(op_name: str, key: str) -> bool:
     needed = {
         "add": {"a", "b"},
