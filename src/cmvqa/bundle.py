@@ -9,7 +9,8 @@ A bundle is a single file holding named float64 or uint8 arrays:
 The dtype code is 0 for float64 and 1 for uint8; the payload holds every
 float64 entry before the first uint8 one.  Version 1 files, which have no
 dtype code and hold float64 only, are still read.  Offsets index into the
-payload in bytes.  Round trips are bit-exact.
+payload in bytes.  Round trips are bit-exact.  Reading and writing both
+reject a float64 entry holding NaN or Inf.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
         raise BundleError("truncated payload")
 
     out = {}
+    end, aligned = 0, True   # the float64 entries' last byte; all on the 8-byte grid
     for name, code, shape, offset in entries:
         nbytes = (1 if code else 8) * math.prod(shape)
         if offset + nbytes > payload_len:
@@ -139,4 +141,16 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
             raise BundleError(f"entry {name!r} has shape {shape}: {err}") from err
         # astype copies, so each array owns its memory
         out[name] = arr.copy() if code else arr.astype(np.float64)
+        if not code:
+            end, aligned = max(end, offset + nbytes), aligned and offset % 8 == 0
+
+    # One sum over the payload up to the last float64 byte, which is finite
+    # only if every term is; entry by entry only when it is not (NaN, Inf or
+    # an overflow) or an entry is off the 8-byte grid.  Unlike isfinite, a
+    # sum allocates no mask the size of the payload.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (aligned and math.isfinite(np.add.reduce(np.frombuffer(payload[:end], "<f8")))):
+            for name, code, _, _ in entries:
+                if not code and not np.isfinite(out[name]).all():
+                    raise BundleError(f"tensor {name!r} holds non-finite values")
     return out

@@ -1,9 +1,10 @@
 """Prediction heads and the two multi-task loss compositions.
 
-Answer scores come from summing F_hat + q over the word axis and feeding a
-2-layer MLP; compatibility uses the same aggregation into a 2-way MLP.  The
-image-understanding heads are a 3-layer MLP classifier and a small
-upsampling segmentation decoder.  Loss totals follow the two compositions
+Every head is an MLP.  Answer scores come from summing F_hat + q over the
+word axis and feeding a 2-layer MLP; compatibility uses the same aggregation
+into a 2-way MLP.  The image classifier is a 3-layer MLP on the pooled grid;
+the segmentation decoder is a 2-layer MLP at each grid cell whose scores are
+upsampled to pixels, as in FCN.  Loss totals follow the two compositions
 total = l_vqa + alpha*l_type and total = l_spe + l_com (l_spe alone in
 single-task pre-training).
 """
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .numerics import (
     ShapeError,
     Tensor,
@@ -23,7 +22,6 @@ from .numerics import (
     mean_over_axes,
     pointwise_channel_map,
     relu,
-    reshape,
     scale,
     sum_over_axes,
     uniform_init,
@@ -93,61 +91,23 @@ def init_compatibility_head(gen, d_q: int) -> MlpParams:
     return init_mlp(gen, [d_q, max(2, d_q // 2), 2])
 
 
-@dataclass
-class SegmentationHead:
-    """Per-position channel maps around a nearest-neighbor upsample."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    factor: int
-
-
 def init_classification_head(gen, c_v: int, k_cls: int, hidden: int = 32) -> MlpParams:
     return init_mlp(gen, [c_v, hidden, hidden, k_cls])
 
 
-def init_segmentation_head(gen, c_v: int, image_size: int, g: int,
-                           k_seg: int = 2, dec_channels: int = 8) -> SegmentationHead:
-    if image_size % g:
-        raise ShapeError(f"image size {image_size} not a multiple of grid {g}")
-    return SegmentationHead(
-        w1=uniform_init(gen, (c_v, dec_channels), c_v, dec_channels),
-        b1=zeros_param(dec_channels),
-        w2=uniform_init(gen, (dec_channels, k_seg), dec_channels, k_seg),
-        b2=zeros_param(k_seg),
-        factor=image_size // g,
-    )
+def init_segmentation_head(gen, c_v: int, k_seg: int = 2, dec_channels: int = 8) -> MlpParams:
+    return init_mlp(gen, [c_v, dec_channels, k_seg])
 
 
-def image_task_head(features: Tensor, kind: str, params) -> Tensor:
-    """Route grid features into the task decoder for `kind`."""
+def image_task_head(features: Tensor, kind: str, params: MlpParams, factor: int) -> Tensor:
+    """Task logits from (G, G, C_v) grid features: the classifier's (K,) on
+    the pooled grid, or the segmentation decoder's (G * factor, G * factor, K),
+    each cell's scores repeated over its factor x factor pixels."""
     if kind == "classification":
-        pooled = mean_over_axes(features, (0, 1))
-        return mlp_forward(pooled, params)
+        return mlp_forward(mean_over_axes(features, (0, 1)), params)
     if kind == "segmentation":
-        x = relu(pointwise_channel_map(features, params.w1, params.b1))
-        x = upsample_nearest(x, params.factor)
-        return pointwise_channel_map(x, params.w2, params.b2)
+        return upsample_nearest(mlp_forward(features, params), factor)
     raise ValueError(f"unknown image task kind {kind!r}")
-
-
-def segmentation_loss(pixel_logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean pixelwise cross-entropy; mask holds integer class ids per pixel."""
-    h, w, k = pixel_logits.shape
-    if mask.shape != (h, w):
-        raise ShapeError(f"mask {mask.shape} does not match logits grid {(h, w)}")
-    flat = reshape(pixel_logits, (h * w, k))
-    return cross_entropy(flat, mask.reshape(-1).astype(int))
-
-
-def image_task_loss(logits: Tensor, target) -> Tensor:
-    """Loss of an image-understanding head: class logits (K,) with an integer
-    target, or per-pixel logits (H, W, K) with an (H, W) mask of class ids."""
-    if len(logits.shape) == 3:
-        return segmentation_loss(logits, np.asarray(target))
-    return cross_entropy(logits, target)
 
 
 def vqa_loss(answer_logits: Tensor, answer_target: int, type_logits: Tensor,
@@ -166,10 +126,11 @@ def vqa_loss(answer_logits: Tensor, answer_target: int, type_logits: Tensor,
 
 def pretrain_loss(spe_logits: Tensor, spe_target, com_logits: Optional[Tensor],
                   com_target: int) -> Tuple[Tensor, LossReport]:
-    """total = l_spe + l_com; l_spe is image_task_loss, l_com is cross-entropy
-    over the 2-way compatibility logits.  Without compatibility logits (the
-    single-task arm) total = l_spe."""
-    l_spe = image_task_loss(spe_logits, spe_target)
+    """total = l_spe + l_com, each a cross-entropy: l_spe over class logits
+    (K,) with an integer target, or over per-pixel logits (H, W, K) with an
+    (H, W) mask of class ids; l_com over the 2-way compatibility logits.
+    Without compatibility logits (the single-task arm) total = l_spe."""
+    l_spe = cross_entropy(spe_logits, spe_target)
     if com_logits is None:
         return l_spe, LossReport(total=l_spe.item(), l_spe=l_spe.item())
     if com_target not in (0, 1):

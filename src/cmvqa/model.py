@@ -25,7 +25,6 @@ from .data import (
 from .fusion import CmsaParams, CmsaState, cmsa_fuse, init_cmsa
 from .heads import (
     MlpParams,
-    SegmentationHead,
     compatibility_head,
     image_task_head,
     init_answer_head,
@@ -155,14 +154,10 @@ class PretrainModel:
                                       IMAGE_CHANNELS, config.grid, config.c_v)
         self.cmsa = init_cmsa(rng.child("cmsa").gen, self.cmsa_config)
         self.compat = init_compatibility_head(rng.child("compat").gen, config.d_q)
-        n_classes = pretrain_task_classes(type_id)
-        if self.task == "segmentation":
-            self.task_head = init_segmentation_head(
-                rng.child("task").gen, config.c_v, config.image_size, config.grid, n_classes
-            )
-        else:
-            self.task_head = init_classification_head(rng.child("task").gen, config.c_v,
-                                                      n_classes)
+        init_head = (init_segmentation_head if self.task == "segmentation"
+                     else init_classification_head)
+        self.task_head = init_head(rng.child("task").gen, config.c_v,
+                                   pretrain_task_classes(type_id))
         self.s = spatial_map(config.grid)
 
     def params(self) -> Dict[str, Tensor]:
@@ -171,20 +166,15 @@ class PretrainModel:
         _register_backbone(out, f"backbone/{TYPE_NAMES[self.type_id]}", self.backbone)
         _register_cmsa(out, "cmsa", self.cmsa)
         _register_mlp(out, "compat", self.compat)
-        if isinstance(self.task_head, SegmentationHead):
-            out["task/w1"] = self.task_head.w1
-            out["task/b1"] = self.task_head.b1
-            out["task/w2"] = self.task_head.w2
-            out["task/b2"] = self.task_head.b2
-        else:
-            _register_mlp(out, "task", self.task_head)
+        _register_mlp(out, "task", self.task_head)
         return out
 
     def forward(self, sample: PretrainSample) -> Tuple[Tensor, Optional[Tensor]]:
         """Returns (task logits, compatibility logits).  In single pretrain
         mode the question pathway does not run and the second item is None."""
         features = backbone_forward(Tensor(sample.image), self.backbone)
-        task_logits = image_task_head(features, self.task, self.task_head)
+        task_logits = image_task_head(features, self.task, self.task_head,
+                                      self.config.image_size // self.config.grid)
         if self.config.pretrain_mode == "single":
             return task_logits, None
         q = self.question.encode(sample.paired_token_ids)

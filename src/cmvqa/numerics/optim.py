@@ -8,15 +8,14 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # fixed: only the learning rate is set per run
+
 
 @dataclass
 class OptimState:
     """Per-parameter first/second moment accumulators plus the step counter."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -24,18 +23,19 @@ class OptimState:
 
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | None],
     state: OptimState,
 ) -> tuple[dict[str, Tensor], OptimState]:
     """One update, in place on `params` and `state`; deterministic given inputs.
 
+    A parameter whose gradient is missing or None takes a zero gradient.
     Moment buffers are created lazily the first time a parameter is seen, so
     they exist exactly for the parameters that do.
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -48,7 +48,7 @@ def adam_step(
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p.data[...] = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
+        p.data[...] = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return params, state

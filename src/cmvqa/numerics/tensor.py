@@ -385,13 +385,18 @@ def sum_over_axes(a: Tensor, axes) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix, stable under large magnitudes."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {x.shape}")
+    """Row-wise softmax of a matrix, or of a vector as one row, stable under
+    large magnitudes."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax_rows needs a rank-1 or rank-2 tensor, got {x.shape}")
     if not np.isfinite(x.data).all():
         raise NonFiniteError("softmax_rows", "input contains NaN/Inf")
-    out = _softmax(x.data)
-    return _node(out, (x,), lambda g: (_softmax_back(out, g),), "softmax_rows")
+    out = _softmax(x.data.reshape(-1, x.shape[-1]))
+
+    def back(g: np.ndarray):
+        return (_softmax_back(out, g.reshape(out.shape)).reshape(x.shape),)
+
+    return _node(out.reshape(x.shape), (x,), back, "softmax_rows")
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -416,8 +421,8 @@ def _softmax_back(out: np.ndarray, g: np.ndarray) -> np.ndarray:
 def cross_entropy(logits: Tensor, target) -> Tensor:
     """Negative log softmax probability of the target class.
 
-    Rank-1 logits with an int target give one sample's loss; rank-2 logits of
-    shape (P, K) with a length-P target vector give the mean over positions
+    Rank-1 logits with an int target give one sample's loss; logits of shape
+    (..., K) with integer targets of shape (...) give the mean over positions
     (used for per-pixel losses).
     """
     z = logits.data
@@ -437,26 +442,24 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 
         return _node(data, (logits,), back, "cross_entropy")
 
-    if z.ndim == 2:
-        t = np.asarray(target, dtype=np.int64)
-        pcount, k = z.shape
-        if t.shape != (pcount,):
-            raise ShapeError(f"target shape {t.shape} does not match logit rows {pcount}")
-        if t.size and (t.min() < 0 or t.max() >= k):
-            raise IndexError(f"target out of range for {k} classes")
-        m = z.max(axis=1, keepdims=True)
-        lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-        per = lse[:, 0] - z[np.arange(pcount), t]
-        data = np.asarray(per.mean())
+    t = np.asarray(target, dtype=np.int64)
+    if z.ndim == 0 or t.shape != z.shape[:-1]:
+        raise ShapeError(f"target shape {t.shape} does not match logits {logits.shape}")
+    z, t = z.reshape(-1, z.shape[-1]), t.reshape(-1)
+    pcount, k = z.shape
+    if t.size and (t.min() < 0 or t.max() >= k):
+        raise IndexError(f"target out of range for {k} classes")
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    per = lse[:, 0] - z[np.arange(pcount), t]
+    data = np.asarray(per.mean())
 
-        def back(g: np.ndarray):
-            p = np.exp(z - lse)
-            p[np.arange(pcount), t] -= 1.0
-            return (p * (g / pcount),)
+    def back(g: np.ndarray):
+        p = np.exp(z - lse)
+        p[np.arange(pcount), t] -= 1.0
+        return ((p * (g / pcount)).reshape(logits.shape),)
 
-        return _node(data, (logits,), back, "cross_entropy")
-
-    raise ShapeError(f"cross_entropy expects rank-1 or rank-2 logits, got {logits.shape}")
+    return _node(data, (logits,), back, "cross_entropy")
 
 
 # -- convolution / resampling ------------------------------------------------

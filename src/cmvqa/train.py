@@ -79,11 +79,7 @@ def _optimize_step(params: Dict[str, Tensor], loss: Tensor, state: OptimState) -
     for p in params.values():
         p.zero_grad()
     loss.backward()
-    grads = {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    _, state = adam_step(params, grads, state)
+    _, state = adam_step(params, {name: p.grad for name, p in params.items()}, state)
     return state
 
 
@@ -200,13 +196,9 @@ def _pretrain_val_metrics(model: PretrainModel, samples):
         task_logits, com_logits = model.forward(s)
         if com_logits is not None:
             com_hits.append(int(np.argmax(com_logits.data) == s.compat_label))
-        if model.task == "segmentation":
-            pred = np.argmax(task_logits.data, axis=-1)
-            task_hits += (pred == s.task_target).sum()
-            task_total += pred.size
-        else:
-            task_hits += int(np.argmax(task_logits.data) == s.task_target)
-            task_total += 1
+        pred = np.argmax(task_logits.data, axis=-1)
+        task_hits += (pred == s.task_target).sum()
+        task_total += pred.size
     out = {"task_acc": task_hits / task_total}
     if com_hits:
         out["compat_acc"] = sum(com_hits) / len(samples)

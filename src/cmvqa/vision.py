@@ -20,7 +20,6 @@ from .numerics import (
     im2col,
     mean_over_axes,
     pointwise_channel_map,
-    reshape,
     softmax_rows,
     uniform_init,
     weighted_sum,
@@ -117,8 +116,7 @@ def classify_type(image: Tensor, params: TypeClassifierParams,
                         patches=patches)
     pooled = mean_over_axes(feats, (0, 1))
     logits = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
-    w = reshape(softmax_rows(reshape(logits, (1, 3))), (3,))
-    return TypeGate(logits=logits, w=w)
+    return TypeGate(logits=logits, w=softmax_rows(logits))
 
 
 def blend(v_a: Tensor, v_h: Tensor, v_c: Tensor, gate: TypeGate) -> Tensor:

@@ -1,6 +1,7 @@
 """The layers as compositions of primitive ops: the graphs the layer-level
-ops (the factor-form glimpse, conv2d_relu, weighted_sum) replace, and the
-loop form of the spatial map.  Each takes the arguments of the function it
+ops (the factor-form glimpse, conv2d_relu, weighted_sum) replace, the
+segmentation decoder with its second 1x1 map on every pixel, and the loop
+form of the spatial map.  Each takes the arguments of the function it
 stands in for, so a test can patch it in under that function's name.  The
 primitive ops that only these graphs use (matmul, transpose2d, conv2d and
 multimodal_channel_map) live here too."""
@@ -19,6 +20,7 @@ from cmvqa.numerics import (
     add,
     broadcast_to,
     concat_last,
+    cross_entropy,
     mean_over_axes,
     mul,
     pointwise_channel_map,
@@ -26,6 +28,7 @@ from cmvqa.numerics import (
     reshape,
     slice_last,
     softmax_rows,
+    upsample_nearest,
 )
 from cmvqa.numerics.tensor import _conv2d, _node
 from cmvqa.vision import TypeClassifierParams, TypeGate
@@ -228,6 +231,21 @@ def blend_composition(v_a, v_h, v_c, gate):
         w_i = broadcast_to(slice_last(gate.w, i, i + 1), shape)
         parts.append(mul(w_i, v_i))
     return add(add(parts[0], parts[1]), parts[2])
+
+
+def segmentation_decoder_composition(features, kind, params, factor):
+    """heads.image_task_head's segmentation decoder with the upsample between
+    its two 1x1 maps, so the second map and its bias run on every pixel."""
+    assert kind == "segmentation"
+    (w0, w1), (b0, b1) = params.weights, params.biases
+    x = upsample_nearest(relu(pointwise_channel_map(features, w0, b0)), factor)
+    return pointwise_channel_map(x, w1, b1)
+
+
+def segmentation_loss_composition(pixel_logits, mask):
+    """The per-pixel cross-entropy on the (H * W, K) rows of the logits."""
+    h, w, k = pixel_logits.shape
+    return cross_entropy(reshape(pixel_logits, (h * w, k)), np.asarray(mask).reshape(-1))
 
 
 def spatial_map_loops(g: int) -> Tensor:

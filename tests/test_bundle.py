@@ -120,6 +120,47 @@ def test_non_finite_entry_raises_and_writes_nothing(tmp_path, gen, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+def _float_bundle(version: int, arrays: dict, lead: int = 0) -> bytes:
+    """Float64 entries back to back after ``lead`` payload bytes, in format
+    version 1 (no dtype codes) or 2."""
+    header, payload = [b"CMTB", struct.pack("<II", version, len(arrays))], b"\x00" * lead
+    for name, arr in arrays.items():
+        code = struct.pack("<I", arr.ndim) if version == 1 else struct.pack("<BI", 0, arr.ndim)
+        header += [struct.pack("<I", len(name)), name.encode(), code,
+                   struct.pack(f"<{arr.ndim}Q", *arr.shape), struct.pack("<Q", len(payload))]
+        payload += arr.astype("<f8").tobytes()
+    return b"".join(header) + struct.pack("<Q", len(payload)) + payload
+
+
+@pytest.mark.parametrize("lead", [0, 4], ids=["aligned", "off-grid"])
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_on_read_raises_naming_it(tmp_path, gen, bad, version, lead):
+    arrays = {"ok": gen.standard_normal(3), "layer0/w": gen.standard_normal((2, 3)),
+              "last": gen.standard_normal(2)}
+    back = _read_raw(tmp_path, _float_bundle(version, arrays, lead))
+    assert {n: a.tobytes() for n, a in back.items()} == {n: a.tobytes() for n, a in arrays.items()}
+    arrays["layer0/w"][1, 2] = bad
+    with pytest.raises(BundleError, match="'layer0/w'.*non-finite"):
+        _read_raw(tmp_path, _float_bundle(version, arrays, lead))
+
+
+def test_finite_entries_whose_sum_overflows_read_back(tmp_path):
+    arrays = {"a": np.array([1e308, 1e308]), "b": np.array([-1e308, -1e308, 2.0])}
+    back = _read_raw(tmp_path, _float_bundle(2, arrays))
+    assert {n: a.tobytes() for n, a in back.items()} == {n: a.tobytes() for n, a in arrays.items()}
+
+
+def test_non_finite_entry_before_byte_entries_raises(tmp_path, gen):
+    path = tmp_path / "m.cmtb"
+    write_bundle({"a": gen.standard_normal(2), "w": np.array([1.5, 2.5]),
+                  "text": np.frombuffer(b"abc", np.uint8)}, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(struct.pack("<d", 2.5), struct.pack("<d", np.nan)))
+    with pytest.raises(BundleError, match="'w'.*non-finite"):
+        read_bundle(path)
+
+
 def test_existing_bundle_survives_rejected_write(tmp_path, gen):
     path = tmp_path / "keep.cmtb"
     x = gen.standard_normal((2, 3))

@@ -2,9 +2,12 @@
 
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
+from cmvqa.bundle import read_bundle, write_bundle
 from cmvqa.cli import main
 from cmvqa.model import load_checkpoint
 
@@ -187,6 +190,29 @@ class TestErrors:
                          "--init", str(root / "any.cmtb")]) == 2
             captured = capsys.readouterr()
             assert named in captured.err and captured.out == ""
+            assert not out.exists()
+
+    def test_non_finite_checkpoint_rejected_before_output(self, workspace, tmp_path, capsys):
+        """A checkpoint entry holding NaN: eval and train --init exit 2 naming
+        the entry, and write no output directory."""
+        _, cfg = workspace
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "tr")]) == 0
+        arrays = read_bundle(tmp_path / "tr" / "checkpoint.cmtb")
+        marker = struct.pack("<d", 12345.678)
+        arrays["backbone/abdomen/layer0/w"].flat[0] = 12345.678
+        bad = tmp_path / "bad.cmtb"
+        write_bundle(arrays, bad)
+        raw = bad.read_bytes()
+        assert raw.count(marker) == 1
+        bad.write_bytes(raw.replace(marker, struct.pack("<d", np.nan)))
+        capsys.readouterr()
+        for command in ("eval", "train"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--init", str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert "'backbone/abdomen/layer0/w' holds non-finite values" in captured.err
+            assert captured.out == ""
             assert not out.exists()
 
     def test_train_without_dataset(self, tmp_path, capsys):

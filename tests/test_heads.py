@@ -21,6 +21,7 @@ from cmvqa.heads import (
 from cmvqa.numerics import Rng, ShapeError, Tensor, cross_entropy, grad_check, sum_over_axes
 from cmvqa.question import QuestionEmbedding
 from cmvqa.vision import spatial_map
+from layer_oracles import segmentation_decoder_composition, segmentation_loss_composition
 
 
 def answer_oracle(f_hat, q, head):
@@ -115,19 +116,47 @@ class TestCompatibilityHead:
 class TestImageTaskHead:
     def test_classification_shape(self, gen):
         head = init_classification_head(Rng(9).gen, 8, 3)
-        out = image_task_head(Tensor(gen.standard_normal((4, 4, 8))), "classification", head)
+        out = image_task_head(Tensor(gen.standard_normal((4, 4, 8))), "classification", head, 4)
         assert out.shape == (3,)
         assert len(head.weights) == 3  # 3 affine layers
 
     def test_segmentation_restores_image_size(self, gen):
-        head = init_segmentation_head(Rng(10).gen, 8, image_size=16, g=4)
-        out = image_task_head(Tensor(gen.standard_normal((4, 4, 8))), "segmentation", head)
+        head = init_segmentation_head(Rng(10).gen, 8)
+        out = image_task_head(Tensor(gen.standard_normal((4, 4, 8))), "segmentation", head, 4)
         assert out.shape == (16, 16, 2)
+        assert [w.shape for w in head.weights] == [(8, 8), (8, 2)]
+
+    @pytest.mark.parametrize("g, c_v, factor, k", [(4, 8, 4, 2), (2, 5, 2, 3), (3, 4, 8, 2)])
+    def test_segmentation_matches_decoder_composition(self, gen, g, c_v, factor, k):
+        """The per-cell MLP, upsampled, and its loss on the (H, W, K) map give
+        the value and every gradient of the decoder whose second 1x1 map runs
+        on every pixel, with the loss on its (H * W, K) rows, within a
+        relative 1e-12."""
+        head = init_segmentation_head(Rng(13).gen, c_v, k)
+        for b in head.biases:
+            b.data[...] = gen.standard_normal(b.shape)
+        features = Tensor(np.maximum(gen.standard_normal((g, g, c_v)), 0.0), requires_grad=True)
+        mask = gen.integers(0, k, size=(g * factor, g * factor))
+        tensors = [features] + head.weights + head.biases
+
+        def run(decoder, loss):
+            for t in tensors:
+                t.zero_grad()
+            logits = decoder(features, "segmentation", head, factor)
+            total = loss(logits, mask)
+            total.backward()
+            return [logits.data, total.data] + [t.grad for t in tensors]
+
+        got = run(image_task_head, cross_entropy)
+        want = run(segmentation_decoder_composition, segmentation_loss_composition)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_unknown_kind(self, gen):
         head = init_classification_head(Rng(11).gen, 8, 3)
         with pytest.raises(ValueError, match="unknown image task"):
-            image_task_head(Tensor(np.zeros((4, 4, 8))), "detection", head)
+            image_task_head(Tensor(np.zeros((4, 4, 8))), "detection", head, 4)
 
     def test_saturated_segmentation_loss_near_zero(self):
         # logits strongly favoring class 1 everywhere, all-ones mask
@@ -139,6 +168,8 @@ class TestImageTaskHead:
             Tensor(logits), mask, Tensor([0.0, 30.0]), 1
         )
         assert report.l_spe < 1e-12
+        with pytest.raises(ShapeError):
+            pretrain_loss(Tensor(logits), mask[:, :3], Tensor([0.0, 30.0]), 1)
 
 
 class TestLossCompositions:

@@ -42,9 +42,10 @@ def test_zero_gradient_leaves_param_unchanged(gen):
 
 def test_missing_grad_treated_as_zero(gen):
     x = gen.standard_normal(3)
-    params = {"p": Tensor(x.copy()), "q": Tensor(np.ones(2))}
-    params, _ = adam_step(params, {"q": np.full(2, 0.1)}, OptimState())
+    params = {"p": Tensor(x.copy()), "q": Tensor(np.ones(2)), "r": Tensor(x.copy())}
+    params, _ = adam_step(params, {"q": np.full(2, 0.1), "r": None}, OptimState())
     assert np.array_equal(params["p"].data, x)
+    assert np.array_equal(params["r"].data, x)  # None, as backward leaves it, is zero too
     assert not np.array_equal(params["q"].data, np.ones(2))
 
 

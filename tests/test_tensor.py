@@ -153,6 +153,19 @@ class TestSoftmaxRows:
         assert (out >= 0).all()
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
 
+    def test_vector_is_one_row(self, gen):
+        x = gen.standard_normal(5) * 4
+        g = gen.standard_normal(5)
+        vec, row = Tensor(x, requires_grad=True), Tensor(x[None], requires_grad=True)
+        out_vec, out_row = softmax_rows(vec), softmax_rows(row)
+        assert out_vec.shape == (5,)
+        assert np.array_equal(out_vec.data, out_row.data[0])
+        (gv,), (gr,) = out_vec._backward(g), out_row._backward(g[None])
+        assert gv.shape == (5,)
+        assert np.array_equal(gv, gr[0])
+        with pytest.raises(ShapeError):
+            softmax_rows(Tensor(np.zeros((1, 2, 3))))
+
     def test_rejects_non_finite_input(self):
         bad = np.zeros((2, 2))
         bad[0, 0] = np.nan
@@ -313,6 +326,20 @@ class TestCrossEntropy:
         batched = cross_entropy(Tensor(z), t).item()
         single = np.mean([cross_entropy(Tensor(z[i]), int(t[i])).item() for i in range(4)])
         assert abs(batched - single) < 1e-12
+
+        # an (H, W, K) map is its (H * W, K) rows: the same loss and gradient bits
+        grid = Tensor(gen.standard_normal((2, 3, 5)), requires_grad=True)
+        mask = gen.integers(0, 5, size=(2, 3))
+        flat = Tensor(grid.data.reshape(6, 5), requires_grad=True)
+        on_grid, on_rows = cross_entropy(grid, mask), cross_entropy(flat, mask.reshape(-1))
+        on_grid.backward()
+        on_rows.backward()
+        assert on_grid.item() == on_rows.item()
+        assert grid.grad.shape == (2, 3, 5)
+        assert np.array_equal(grid.grad.reshape(6, 5), flat.grad)
+        for bad in (mask.T, mask.reshape(-1), mask[:, :2]):
+            with pytest.raises(ShapeError):
+                cross_entropy(grid, bad)
 
     def test_shift_invariance(self, gen):
         z = gen.standard_normal(5)

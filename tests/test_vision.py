@@ -53,18 +53,18 @@ class TestBackbone:
 
 class TestTypeGate:
     def test_equal_logits_uniform(self):
-        from cmvqa.numerics import softmax_rows, reshape
+        from cmvqa.numerics import softmax_rows
 
-        w = reshape(softmax_rows(reshape(Tensor(np.zeros(3)), (1, 3))), (3,))
+        w = softmax_rows(Tensor(np.zeros(3)))
         assert np.allclose(w.data, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_saturated_logits(self, gen):
         params = init_type_classifier(gen, 1)
         gate = classify_type(Tensor(gen.standard_normal((8, 8, 1))), params)
         # build the saturation case directly on the softmax contract
-        from cmvqa.numerics import softmax_rows, reshape
+        from cmvqa.numerics import softmax_rows
 
-        w = reshape(softmax_rows(Tensor([[30.0, -30.0, -30.0]])), (3,))
+        w = softmax_rows(Tensor([30.0, -30.0, -30.0]))
         assert np.abs(w.data - np.array([1.0, 0.0, 0.0])).max() < 1e-9
         # and the classifier output is a valid simplex point
         assert abs(gate.w.data.sum() - 1.0) <= 1e-9
