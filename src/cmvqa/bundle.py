@@ -6,11 +6,11 @@ A bundle is a single file holding named float64 or uint8 arrays:
     per entry: name length u32 | name utf-8 | dtype u8 | ndim u32 | dims u64... | offset u64
     payload length u64 | payload (contiguous little-endian arrays)
 
-The dtype code is 0 for float64 and 1 for uint8; the payload holds every
-float64 entry before the first uint8 one.  Version 1 files, which have no
-dtype code and hold float64 only, are still read.  Offsets index into the
-payload in bytes.  Round trips are bit-exact.  Reading and writing both
-reject a float64 entry holding NaN or Inf.
+The dtype code is 0 for float64 and 1 for uint8; entries lie in the payload
+in the order they were given.  Version 1 files, which have no dtype code and
+hold float64 only, are still read.  Offsets index into the payload in bytes.
+Round trips are bit-exact.  Reading and writing both reject a float64 entry
+holding NaN or Inf, checking each entry on its own.
 """
 
 from __future__ import annotations
@@ -32,48 +32,32 @@ class BundleError(Exception):
 
 
 def write_bundle(tensors: Dict[str, np.ndarray], path) -> None:
-    """Write named arrays to `path`. Names must be unique.  uint8 arrays are
-    stored as bytes; every other value as float64, which must be finite.
+    """Write named arrays to `path`.  uint8 arrays are stored as bytes; every
+    other value as float64, which must be finite.
 
     The bytes go to a temporary file beside `path`, which then replaces it, so
     a write that fails or is interrupted leaves any earlier bundle intact.
     """
-    names = list(tensors)
-    if len(set(names)) != len(names):
-        raise BundleError("duplicate tensor names")
-    header = [MAGIC, struct.pack("<II", VERSION, len(names))]
-    payload, byte_entries = bytearray(), bytearray()
-    byte_offsets = []   # (header slot, offset in byte_entries), set once floats end
-    for name in names:
-        arr = tensors[name]
-        code = int(getattr(arr, "dtype", None) == DTYPES[1])
-        if not code:
-            arr = np.asarray(arr, dtype=np.float64)
-        encoded = name.encode("utf-8")
-        header.append(struct.pack("<I", len(encoded)))
-        header.append(encoded)
-        header.append(struct.pack("<BI", code, arr.ndim))
-        header.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        if code:
-            byte_offsets.append((len(header), len(byte_entries)))
-            header.append(None)
-            byte_entries += arr.tobytes()
-        else:
-            header.append(struct.pack("<Q", len(payload)))
-            payload += arr.astype("<f8").tobytes()
-    if not np.isfinite(np.frombuffer(payload, "<f8")).all():
-        bad = next(n for n in names if not np.isfinite(np.asarray(tensors[n], np.float64)).all())
-        raise BundleError(f"tensor {bad!r} holds non-finite values")
-    for slot, offset in byte_offsets:
-        header[slot] = struct.pack("<Q", len(payload) + offset)
-    payload += byte_entries
+    entries = []
+    for name, value in tensors.items():
+        code = int(getattr(value, "dtype", None) == DTYPES[1])
+        arr = np.asarray(value, DTYPES[code], order="C")
+        if not code and not np.isfinite(arr).all():
+            raise BundleError(f"tensor {name!r} holds non-finite values")
+        entries.append((name.encode("utf-8"), code, arr))
+    header, offset = [MAGIC, struct.pack("<II", VERSION, len(entries))], 0
+    for encoded, code, arr in entries:
+        header += [struct.pack("<I", len(encoded)), encoded,
+                   struct.pack(f"<BI{arr.ndim}QQ", code, arr.ndim, *arr.shape, offset)]
+        offset += arr.nbytes
+    header.append(struct.pack("<Q", offset))
 
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(b"".join(header))
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(bytes(payload))
+            for _, _, arr in entries:
+                fh.write(arr)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -130,7 +114,6 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
         raise BundleError("truncated payload")
 
     out = {}
-    end, aligned = 0, True   # the float64 entries' last byte; all on the 8-byte grid
     for name, code, shape, offset in entries:
         nbytes = (1 if code else 8) * math.prod(shape)
         if offset + nbytes > payload_len:
@@ -141,16 +124,6 @@ def read_bundle(path) -> Dict[str, np.ndarray]:
             raise BundleError(f"entry {name!r} has shape {shape}: {err}") from err
         # astype copies, so each array owns its memory
         out[name] = arr.copy() if code else arr.astype(np.float64)
-        if not code:
-            end, aligned = max(end, offset + nbytes), aligned and offset % 8 == 0
-
-    # One sum over the payload up to the last float64 byte, which is finite
-    # only if every term is; entry by entry only when it is not (NaN, Inf or
-    # an overflow) or an entry is off the 8-byte grid.  Unlike isfinite, a
-    # sum allocates no mask the size of the payload.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (aligned and math.isfinite(np.add.reduce(np.frombuffer(payload[:end], "<f8")))):
-            for name, code, _, _ in entries:
-                if not code and not np.isfinite(out[name]).all():
-                    raise BundleError(f"tensor {name!r} holds non-finite values")
+        if not code and not np.isfinite(out[name]).all():
+            raise BundleError(f"tensor {name!r} holds non-finite values")
     return out

@@ -23,18 +23,21 @@ def _parser() -> argparse.ArgumentParser:
         description="Gated multi-encoder VQA with cross-modal self-attention fusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("gen-data", "generate the synthetic dataset"),
-        ("pretrain", "multi-task pre-training of the three encoders"),
-        ("train", "end-to-end VQA training"),
-        ("eval", "evaluate a checkpoint"),
-        ("gradcheck", "finite-difference check of every model parameter"),
+    for name, helptext, flags in [
+        ("gen-data", "generate the synthetic dataset", ["--out"]),
+        ("pretrain", "multi-task pre-training of the three encoders", ["--out"]),
+        ("train", "end-to-end VQA training", ["--out", "--init"]),
+        ("eval", "evaluate a checkpoint", ["--init"]),
+        ("gradcheck", "finite-difference check of every model parameter", []),
     ]:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--init", default=None, help="checkpoint to initialize from")
+        if "--out" in flags:
+            cmd.add_argument("--out", default=None, help="output directory")
+        if "--init" in flags:
+            cmd.add_argument("--init", required=name == "eval",
+                             help="checkpoint to initialize from")
     return parser
 
 
@@ -94,8 +97,6 @@ def main(argv=None) -> int:
             from .model import VqaModel, apply_checkpoint, load_checkpoint
             from .train import run_eval
 
-            if not args.init:
-                raise ConfigError("eval requires --init CHECKPOINT")
             vqa, _, vocab, data_config = load_dataset(config.data_dir)
             config.check_dataset(data_config)
             model = VqaModel(config, vocab.size)

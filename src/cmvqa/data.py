@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
@@ -36,7 +37,7 @@ _PRETRAIN_TASKS = (("segmentation", 2), ("classification", len(SHAPE_NAMES)),
 
 @dataclass
 class DataConfig:
-    """The settings a dataset is generated under, saved as data_config.json."""
+    """The settings a dataset is generated under, recorded in its data.cmtb."""
 
     image_size: int = 32
     grid: int = 4             # questions address cells of this grid
@@ -287,84 +288,83 @@ def generate_synthetic(seed: int, counts: Dict[str, int], config: DataConfig):
 
 
 def save_dataset(vqa, pretrain, vocab: Vocabulary, config: DataConfig, out_dir) -> None:
-    """One tensor bundle (images + masks), one JSON-lines manifest, one vocab file."""
-    import os
+    """Write out_dir/data.cmtb, one bundle of float64 entries stacked on a
+    leading sample axis:
 
+        vqa/<split>/{image, tokens, answer, type, open}
+        pretrain/<type name>/<split>/{image, tokens, target, compat}
+
+    `target` is (n, H, W) for the segmentation type and (n,) otherwise; a
+    split with no samples stores zero-length arrays.  The last entry,
+    `__config__`, is the UTF-8 JSON of the data settings as uint8.  `vocab`
+    is not stored: it follows from the settings (build_vocabulary).
+    """
     os.makedirs(out_dir, exist_ok=True)
-    tensors, rows = {}, []
-    i = 0
+    tensors = {}
     for split, samples in vqa.items():
-        for s in samples:
-            name = f"vqa/{i}"
-            tensors[name] = s.image
-            rows.append({"image": name, "tokens": s.token_ids, "answer": s.answer_id,
-                         "type": s.type_id, "kind": s.question_kind, "split": split})
-            i += 1
-    j = 0
+        columns = {"image": [s.image for s in samples],
+                   "tokens": [s.token_ids for s in samples],
+                   "answer": [s.answer_id for s in samples],
+                   "type": [s.type_id for s in samples],
+                   "open": [s.question_kind == "open" for s in samples]}
+        tensors.update({f"vqa/{split}/{k}": np.array(v, np.float64) for k, v in columns.items()})
     for type_id in sorted(pretrain):
         for split, samples in pretrain[type_id].items():
-            for s in samples:
-                name = f"pre/{j}"
-                tensors[name] = s.image
-                answer = -1
-                if pretrain_task_kind(type_id) == "segmentation":
-                    tensors[name + "/mask"] = s.task_target
-                else:
-                    answer = int(s.task_target)
-                rows.append({"image": name, "tokens": s.paired_token_ids,
-                             "answer": answer, "type": s.type_id,
-                             "kind": "pretrain", "split": split})
-                j += 1
-
+            columns = {"image": [s.image for s in samples],
+                       "tokens": [s.paired_token_ids for s in samples],
+                       "target": [s.task_target for s in samples],
+                       "compat": [s.compat_label for s in samples]}
+            prefix = f"pretrain/{TYPE_NAMES[type_id]}/{split}"
+            tensors.update({f"{prefix}/{k}": np.array(v, np.float64) for k, v in columns.items()})
+    tensors["__config__"] = np.frombuffer(json.dumps(vars(config)).encode("utf-8"), np.uint8)
     write_bundle(tensors, os.path.join(out_dir, "data.cmtb"))
-    with open(os.path.join(out_dir, "manifest.jsonl"), "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
-    with open(os.path.join(out_dir, "data_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(vars(config), fh)
 
 
 def load_dataset(out_dir):
-    """Inverse of save_dataset; compat labels re-derived from tokens + type."""
-    import os
-
-    tensors = read_bundle(os.path.join(out_dir, "data.cmtb"))
-    vocab = Vocabulary.load(os.path.join(out_dir, "vocab.txt"))
-    config_path = os.path.join(out_dir, "data_config.json")
-    with open(config_path, encoding="utf-8") as fh:
-        saved = json.load(fh)
+    """Inverse of save_dataset: (vqa, pretrain, vocab, config)."""
+    path = os.path.join(out_dir, "data.cmtb")
+    tensors = read_bundle(path)
+    regenerate = "regenerate the dataset with cmvqa gen-data"
+    if "__config__" not in tensors:
+        raise ValueError(f"{path} records no data settings, so an older version wrote it; "
+                         + regenerate)
+    saved = json.loads(tensors["__config__"].tobytes().decode("utf-8"))
+    if not isinstance(saved, dict):
+        raise ValueError(f"{path} records data settings that are not a JSON object; "
+                         + regenerate)
     want = [f.name for f in fields(DataConfig)]
     diffs = [f"unknown key {k!r}" for k in sorted(set(saved) - set(want))]
     diffs += [f"missing key {k!r}" for k in want if k not in saved]
     if diffs:
-        raise ValueError(f"{config_path} does not hold this version's data settings "
-                         f"({', '.join(diffs)}); regenerate the dataset with cmvqa gen-data")
+        raise ValueError(f"{path} does not hold this version's data settings "
+                         f"({', '.join(diffs)}); {regenerate}")
     config = DataConfig(**saved)
 
-    vqa = {"train": [], "val": [], "test": []}
-    pretrain = {0: {"train": [], "val": []}, 1: {"train": [], "val": []},
-                2: {"train": [], "val": []}}
-    with open(os.path.join(out_dir, "manifest.jsonl"), encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            image = tensors[row["image"]]
-            ids = [int(t) for t in row["tokens"]]
-            if row["kind"] == "pretrain":
-                type_id = row["type"]
-                if pretrain_task_kind(type_id) == "segmentation":
-                    target = tensors[row["image"] + "/mask"]
-                else:
-                    target = int(row["answer"])
-                tokens = [vocab.token_of(t) for t in ids if t != 0]
-                label = int(type_id in compatible_types(tokens))
-                pretrain[type_id][row["split"]].append(
-                    PretrainSample(image=image, type_id=type_id, task_target=target,
-                                   paired_token_ids=ids, compat_label=label)
-                )
-            else:
-                vqa[row["split"]].append(
-                    VqaSample(image=image, token_ids=ids, answer_id=int(row["answer"]),
-                              type_id=row["type"], question_kind=row["kind"])
-                )
-    return vqa, pretrain, vocab, config
+    def rows(prefix: str, *keys: str):
+        names = [f"{prefix}/{k}" for k in keys]
+        for name in names:
+            if name not in tensors:
+                raise ValueError(f"{path} has no entry {name!r}; {regenerate}")
+        if len({tensors[n].shape[:1] for n in names}) > 1:
+            raise ValueError(f"{path} holds different sample counts under {prefix!r}; "
+                             + regenerate)
+        return zip(*(tensors[n] for n in names))
+
+    vqa = {split: [VqaSample(image=image, token_ids=[int(t) for t in tokens],
+                             answer_id=int(answer), type_id=int(type_id),
+                             question_kind="open" if is_open else "closed")
+                   for image, tokens, answer, type_id, is_open
+                   in rows(f"vqa/{split}", "image", "tokens", "answer", "type", "open")]
+           for split in config.vqa_fractions()}
+    pretrain = {}
+    for type_id, name in enumerate(TYPE_NAMES):
+        mask = pretrain_task_kind(type_id) == "segmentation"
+        pretrain[type_id] = {
+            split: [PretrainSample(image=image, type_id=type_id,
+                                   task_target=target if mask else int(target),
+                                   paired_token_ids=[int(t) for t in tokens],
+                                   compat_label=int(compat))
+                    for image, tokens, target, compat
+                    in rows(f"pretrain/{name}/{split}", "image", "tokens", "target", "compat")]
+            for split in PRETRAIN_SPLITS}
+    return vqa, pretrain, build_vocabulary(config), config

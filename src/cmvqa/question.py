@@ -65,22 +65,6 @@ class Vocabulary:
     def token_of(self, idx: int) -> str:
         return self._tok[idx]
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self._tok:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            ordered = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if ordered[:2] != ["<pad>", "<unk>"]:
-            raise ValueError("vocabulary file must start with <pad>, <unk>")
-        vocab = cls.__new__(cls)
-        vocab._tok = ordered
-        vocab._id = {tok: i for i, tok in enumerate(ordered)}
-        return vocab
-
 
 def tokenize_pad(tokens: Sequence[str], vocab: Vocabulary, l_w: int) -> List[int]:
     """Map tokens to ids, trim to l_w, right-pad with the pad id."""

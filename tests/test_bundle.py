@@ -161,6 +161,19 @@ def test_non_finite_entry_before_byte_entries_raises(tmp_path, gen):
         read_bundle(path)
 
 
+def test_non_finite_entry_after_byte_entry_named_on_write_and_read(tmp_path):
+    tensors = {"text": np.frombuffer(b"abc", np.uint8), "w": np.array([1.5, np.nan])}
+    with pytest.raises(BundleError, match="'w'.*non-finite"):
+        write_bundle(tensors, tmp_path / "w.cmtb")
+    assert list(tmp_path.iterdir()) == []
+    path = tmp_path / "m.cmtb"
+    write_bundle({**tensors, "w": np.array([1.5, 2.5])}, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(struct.pack("<d", 2.5), struct.pack("<d", np.nan)))
+    with pytest.raises(BundleError, match="'w'.*non-finite"):
+        read_bundle(path)
+
+
 def test_existing_bundle_survives_rejected_write(tmp_path, gen):
     path = tmp_path / "keep.cmtb"
     x = gen.standard_normal((2, 3))
@@ -220,13 +233,17 @@ def test_dimension_numpy_cannot_hold_raises_bundle_error(tmp_path):
 
 # -- property tests: every malformed file is a BundleError ------------------------
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# float64 and uint8 entries in any order, 0-d and zero-length ones included
 _arrays = st.dictionaries(
     st.text(min_size=1, max_size=6),
     st.one_of(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(np.array),
+        st.lists(_finite, max_size=6).map(lambda v: np.array(v, np.float64)),
+        _finite.map(np.array),
         st.binary(max_size=6).map(lambda b: np.frombuffer(b, np.uint8)),
+        st.integers(0, 255).map(lambda v: np.array(v, np.uint8)),
     ),
-    max_size=4,
+    max_size=5,
 )
 _PROPERTY = settings(derandomize=True, max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -242,6 +259,16 @@ def _read_raw(tmp_path, raw: bytes):
     path = tmp_path / "r.cmtb"
     path.write_bytes(raw)
     return read_bundle(path)
+
+
+@_PROPERTY
+@given(tensors=_arrays)
+def test_entries_in_any_order_round_trip_bit_exactly(tmp_path, tensors):
+    back = _read_raw(tmp_path, _bundle_bytes(tmp_path, tensors))
+    assert list(back) == list(tensors)
+    for name, arr in tensors.items():
+        assert (back[name].dtype, back[name].shape) == (arr.dtype, arr.shape)
+        assert back[name].tobytes() == arr.tobytes()
 
 
 @_PROPERTY

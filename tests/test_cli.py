@@ -38,11 +38,31 @@ def workspace(tmp_path_factory):
     return root, cfg
 
 
+def _flags(command, out, root):
+    """The --out and --init flags `command` takes: an output directory `out`
+    and a checkpoint path under `root` that does not exist."""
+    flags = {"gen-data": ["--out"], "pretrain": ["--out"], "train": ["--out", "--init"],
+             "eval": ["--init"]}[command]
+    values = {"--out": str(out), "--init": str(root / "any.cmtb")}
+    return [arg for flag in flags for arg in (flag, values[flag])]
+
+
+def _assert_dataset_rejected(tmp_path, cfg, capsys, named):
+    """train, pretrain and eval each exit 2 naming the problem and gen-data,
+    print nothing to stdout and create no output directory."""
+    for command in ("train", "pretrain", "eval"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), *_flags(command, out, tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and "gen-data" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestGenData:
     def test_writes_dataset_files(self, workspace):
         root, _ = workspace
-        for name in ("data.cmtb", "manifest.jsonl", "vocab.txt", "data_config.json"):
-            assert (root / "data" / name).exists()
+        assert [p.name for p in (root / "data").iterdir()] == ["data.cmtb"]
 
     def test_reports_split_sizes(self, workspace, capsys):
         root, cfg = workspace
@@ -92,8 +112,27 @@ class TestErrors:
 
     def test_eval_requires_init(self, workspace, capsys):
         _, cfg = workspace
-        assert main(["eval", "--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--config", str(cfg)])
+        assert exit_info.value.code == 2
         assert "--init" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--out"), ("pretrain", "--init"), ("gen-data", "--init"),
+        ("gradcheck", "--out"), ("gradcheck", "--init"),
+    ])
+    def test_flag_the_command_does_not_read_rejected_before_output(
+            self, workspace, tmp_path, capsys, command, flag):
+        root, cfg = workspace
+        argv = [command, "--config", str(cfg), flag, str(tmp_path / "x")]
+        if command == "eval":
+            argv += ["--init", str(root / "any.cmtb")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_rejects_encoder_only_checkpoint(self, workspace, capsys):
         root, cfg = workspace
@@ -136,23 +175,55 @@ class TestErrors:
     @pytest.mark.parametrize("edit, named", [
         (lambda saved: {**saved, "texture_amp": 1.0}, "unknown key 'texture_amp'"),
         (lambda saved: {k: v for k, v in saved.items() if k != "noise"}, "missing key 'noise'"),
-    ], ids=["extra-key", "missing-key"])
+        (lambda saved: list(saved), "not a JSON object"),
+    ], ids=["extra-key", "missing-key", "not-an-object"])
     def test_dataset_config_with_other_keys_rejected_before_output(self, tmp_path, capsys,
                                                                   edit, named):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "data"))
         assert main(["gen-data", "--config", str(cfg)]) == 0
-        path = tmp_path / "data" / "data_config.json"
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        path = tmp_path / "data" / "data.cmtb"
+        arrays = read_bundle(path)
+        saved = json.loads(arrays["__config__"].tobytes())
+        arrays["__config__"] = np.frombuffer(json.dumps(edit(saved)).encode(), np.uint8)
+        write_bundle(arrays, path)
         capsys.readouterr()
-        for command in ("train", "pretrain", "eval"):
-            out = tmp_path / command
-            assert main([command, "--config", str(cfg), "--out", str(out),
-                         "--init", str(tmp_path / "any.cmtb")]) == 2
-            captured = capsys.readouterr()
-            assert named in captured.err and "gen-data" in captured.err
-            assert captured.out == ""
-            assert not out.exists()
+        _assert_dataset_rejected(tmp_path, cfg, capsys, named)
+
+    def test_dataset_in_older_layout_rejected_before_output(self, tmp_path, capsys):
+        """A data.cmtb of one entry per image beside a manifest, a vocabulary
+        and a settings file, as earlier versions wrote it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "data"))
+        data = tmp_path / "data"
+        data.mkdir()
+        write_bundle({"vqa/0": np.zeros((8, 8, 1)), "pre/0": np.zeros((8, 8, 1))},
+                     data / "data.cmtb")
+        (data / "manifest.jsonl").write_text(json.dumps(
+            {"image": "vqa/0", "tokens": [2, 3], "answer": 2, "type": 0, "kind": "open",
+             "split": "train"}) + "\n")
+        (data / "vocab.txt").write_text("<pad>\n<unk>\nwhat\n")
+        (data / "data_config.json").write_text(json.dumps({"image_size": 8, "grid": 2}))
+        _assert_dataset_rejected(tmp_path, cfg, capsys, "records no data settings")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda arrays: arrays.pop("pretrain/head/val/compat"),
+         "no entry 'pretrain/head/val/compat'"),
+        (lambda arrays: arrays.update({"vqa/train/answer": arrays["vqa/train/answer"][1:]}),
+         "different sample counts under 'vqa/train'"),
+        (lambda arrays: arrays.update({"pretrain/chest/val/target": np.array(1.0)}),
+         "different sample counts under 'pretrain/chest/val'"),
+    ], ids=["missing", "short", "0-d"])
+    def test_dataset_with_a_bad_entry_rejected_before_output(self, workspace, tmp_path, capsys,
+                                                             edit, named):
+        root, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "data"))
+        arrays = read_bundle(root / "data" / "data.cmtb")
+        edit(arrays)
+        (tmp_path / "data").mkdir()
+        write_bundle(arrays, tmp_path / "data" / "data.cmtb")
+        _assert_dataset_rejected(tmp_path, cfg, capsys, named)
 
     @pytest.mark.parametrize("edit, named", [
         (("n_pretrain = 8", "n_pretrain = 3"), "n_pretrain = 3 leaves the val split empty"),
@@ -186,8 +257,7 @@ class TestErrors:
         bad.write_text(cfg.read_text().replace(*edit))
         for command in ("gen-data", "pretrain", "train", "eval"):
             out = tmp_path / command
-            assert main([command, "--config", str(bad), "--out", str(out),
-                         "--init", str(root / "any.cmtb")]) == 2
+            assert main([command, "--config", str(bad), *_flags(command, out, root)]) == 2
             captured = capsys.readouterr()
             assert named in captured.err and captured.out == ""
             assert not out.exists()
@@ -208,8 +278,8 @@ class TestErrors:
         capsys.readouterr()
         for command in ("eval", "train"):
             out = tmp_path / command
-            assert main([command, "--config", str(cfg), "--out", str(out),
-                         "--init", str(bad)]) == 2
+            flags = ["--init", str(bad)] + (["--out", str(out)] if command == "train" else [])
+            assert main([command, "--config", str(cfg), *flags]) == 2
             captured = capsys.readouterr()
             assert "'backbone/abdomen/layer0/w' holds non-finite values" in captured.err
             assert captured.out == ""

@@ -1,11 +1,11 @@
 """Synthetic-data tests: determinism, probes, pairing, splits, on-disk layout."""
 
-import json
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
+from cmvqa.bundle import read_bundle
 from cmvqa.data import (
     ANSWERS,
     DataConfig,
@@ -202,41 +202,51 @@ class TestPretrainCorpora:
 
 
 class TestOnDiskLayout:
-    def test_save_load_roundtrip(self, tmp_path, config):
+    def test_save_load_roundtrip(self, tmp_path):
+        config = DataConfig(val_frac=0.0)
         vqa, pretrain, vocab = generate_synthetic(17, {"vqa": 40, "pretrain": 12}, config)
+        assert vqa["val"] == []
         save_dataset(vqa, pretrain, vocab, config, tmp_path / "ds")
         vqa2, pretrain2, vocab2, config2 = load_dataset(tmp_path / "ds")
 
         assert config2 == config
-        assert vocab2.size == vocab.size
+        want = build_vocabulary(config)
+        assert [vocab2.token_of(i) for i in range(vocab2.size)] == \
+            [want.token_of(i) for i in range(want.size)]
+        assert vqa2.keys() == vqa.keys()
         for split in vqa:
             assert len(vqa2[split]) == len(vqa[split])
             for a, b in zip(vqa[split], vqa2[split]):
-                assert np.array_equal(a.image, b.image)
+                assert a.image.tobytes() == b.image.tobytes() and a.image.shape == b.image.shape
                 assert a.token_ids == b.token_ids
-                assert a.answer_id == b.answer_id
-                assert a.question_kind == b.question_kind
+                assert (a.answer_id, a.type_id, a.question_kind) == \
+                    (b.answer_id, b.type_id, b.question_kind)
+        assert pretrain2.keys() == pretrain.keys()
         for t in pretrain:
+            assert pretrain2[t].keys() == pretrain[t].keys()
             for split in pretrain[t]:
+                assert len(pretrain2[t][split]) == len(pretrain[t][split])
                 for a, b in zip(pretrain[t][split], pretrain2[t][split]):
-                    assert np.array_equal(a.image, b.image)
+                    assert a.image.tobytes() == b.image.tobytes() and a.image.shape == b.image.shape
+                    assert a.type_id == b.type_id == t
+                    assert a.paired_token_ids == b.paired_token_ids
                     assert a.compat_label == b.compat_label
                     if isinstance(a.task_target, np.ndarray):
-                        assert np.array_equal(a.task_target, b.task_target)
+                        assert a.task_target.tobytes() == b.task_target.tobytes()
+                        assert a.task_target.shape == b.task_target.shape
                     else:
-                        assert a.task_target == b.task_target
+                        assert type(b.task_target) is int and a.task_target == b.task_target
 
-    def test_manifest_fixed_fields(self, tmp_path, config):
+    def test_one_bundle_of_stacked_entries(self, tmp_path, config):
         vqa, pretrain, vocab = generate_synthetic(17, {"vqa": 10, "pretrain": 6}, config)
         save_dataset(vqa, pretrain, vocab, config, tmp_path / "ds")
-        with open(tmp_path / "ds" / "manifest.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                assert set(row) == {"image", "tokens", "answer", "type", "kind", "split"}
-
-    def test_vocab_file_one_token_per_line(self, tmp_path, config):
-        vqa, pretrain, vocab = generate_synthetic(17, {"vqa": 4, "pretrain": 3}, config)
-        save_dataset(vqa, pretrain, vocab, config, tmp_path / "ds")
-        lines = (tmp_path / "ds" / "vocab.txt").read_text().splitlines()
-        assert len(lines) == vocab.size
-        assert all(" " not in line for line in lines)
+        assert [p.name for p in (tmp_path / "ds").iterdir()] == ["data.cmtb"]
+        entries = read_bundle(tmp_path / "ds" / "data.cmtb")
+        assert list(entries)[-1] == "__config__"
+        size = config.image_size
+        train = len(vqa["train"])
+        assert entries["vqa/train/image"].shape == (train, size, size, 1)
+        assert entries["vqa/train/tokens"].shape == (train, config.l_w)
+        assert entries["pretrain/abdomen/val/target"].shape == \
+            (len(pretrain[0]["val"]), size, size)
+        assert entries["pretrain/chest/train/target"].shape == (len(pretrain[2]["train"]),)

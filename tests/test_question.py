@@ -32,15 +32,6 @@ class TestVocabulary:
         ids = sorted(vocab.id_of(vocab.token_of(i)) for i in range(vocab.size))
         assert ids == list(range(vocab.size))
 
-    def test_save_load_roundtrip(self, vocab, tmp_path):
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "<pad>" and lines[1] == "<unk>"
-        back = Vocabulary.load(path)
-        assert back.size == vocab.size
-        assert back.id_of("lungs") == vocab.id_of("lungs")
-
 
 class TestTokenizePad:
     def test_short_question(self, vocab):
