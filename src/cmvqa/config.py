@@ -84,6 +84,9 @@ class RunConfig(DataConfig):
         if rest or ratio < 2 or ratio & (ratio - 1):
             raise ConfigError(f"image_size / grid must be a power of two >= 2, got "
                               f"image_size = {self.image_size}, grid = {self.grid}")
+        if ratio == 2:   # a 2-pixel cell draws no square and no cross
+            raise ConfigError(f"image_size / grid = 2 draws no square or cross; each shape needs "
+                              f"4-pixel cells, got image_size = {self.image_size}, grid = {self.grid}")
         # every float key: NaN fails each comparison, so it is rejected with its key
         inf = float("inf")
         for key, ok, want in (("lr", 0.0 < self.lr < inf, "finite and > 0"),
@@ -111,9 +114,10 @@ class RunConfig(DataConfig):
                 raise ConfigError(f"{key} = {n} leaves the {empty} split empty")
 
 
+_FIELD_TYPES = get_type_hints(RunConfig)   # every field's type, resolved once
+
+
 def parse_config(text: str) -> RunConfig:
-    hints = get_type_hints(RunConfig)
-    valid = {f.name for f in fields(RunConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -122,12 +126,12 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in valid:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = hints[key](raw)
+            values[key] = _FIELD_TYPES[key](raw)
         except ValueError as err:
             raise ConfigError(f"bad value for {key}: {raw!r}") from err
     config = RunConfig(**values)

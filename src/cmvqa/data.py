@@ -10,11 +10,12 @@ pairs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -84,17 +85,19 @@ def build_vocabulary(config: DataConfig) -> Vocabulary:
 # -- image drawing ---------------------------------------------------------------
 
 
-def _texture(type_id: int, size: int) -> np.ndarray:
-    idx = np.arange(size)
-    if type_id == 0:    # horizontal stripes (varies down the rows)
-        return np.tile(np.sin(2 * np.pi * 3 * idx / size)[:, None], (1, size))
-    if type_id == 1:    # vertical stripes (varies along the columns)
-        return np.tile(np.sin(2 * np.pi * 3 * idx / size)[None, :], (size, 1))
-    return np.zeros((size, size))
+@functools.lru_cache(maxsize=None)
+def _textures(size: int) -> np.ndarray:
+    """Read-only (3, size, size) background per type: stripes that vary down
+    the rows (abdomen), stripes that vary along the columns (head), flat (chest)."""
+    wave = np.sin(2 * np.pi * 3 * np.arange(size) / size)
+    textures = np.stack([*np.broadcast_arrays(wave[:, None], wave[None, :]), np.zeros((size, size))])
+    textures.flags.writeable = False
+    return textures
 
 
+@functools.lru_cache(maxsize=None)
 def _shape_mask(shape_id: int, cell_size: int) -> np.ndarray:
-    """Boolean pixel mask of one shape inside a cell_size x cell_size cell."""
+    """Read-only boolean mask of one shape in a cell_size x cell_size cell."""
     s = cell_size
     mask = np.zeros((s, s), dtype=bool)
     if shape_id == 0:   # square block with a 1-pixel margin
@@ -110,6 +113,7 @@ def _shape_mask(shape_id: int, cell_size: int) -> np.ndarray:
         mask[1 : s - 1, lo : lo + w] = True
     else:
         raise ValueError(f"unknown shape id {shape_id}")
+    mask.flags.writeable = False
     return mask
 
 
@@ -118,7 +122,7 @@ def draw_image(gen, type_id: int, shape_id: int, cell: Tuple[int, int],
     """Render texture + noise + one bright shape; return (image, pixel mask)."""
     size = config.image_size
     cs = size // config.grid
-    img = _texture(type_id, size) + gen.normal(0.0, config.noise, (size, size))
+    img = _textures(size)[type_id] + gen.normal(0.0, config.noise, (size, size))
     mask = np.zeros((size, size))
     r0, c0 = cell[0] * cs, cell[1] * cs
     local = _shape_mask(shape_id, cs)
@@ -171,8 +175,7 @@ def split_indices(n: int, fractions: Dict[str, float]) -> Dict[str, List[int]]:
 def generate_vqa(seed: int, n: int, config: DataConfig,
                  vocab: Vocabulary) -> Dict[str, List[VqaSample]]:
     """n samples split train/val/test; alternating open/closed questions."""
-    rng = Rng(seed).child("vqa")
-    gen = rng.gen
+    gen = Rng(seed).child("vqa").gen
     samples = []
     g = config.grid
     for i in range(n):
@@ -210,30 +213,29 @@ def question_pool(config: DataConfig, vocab: Vocabulary):
         for r in range(g):
             for c in range(g):
                 variants = [open_question(type_id, (r, c))]
-                variants += [
-                    closed_question(s, type_id, (r, c)) for s in range(3)
-                ]
+                variants += [closed_question(s, type_id, (r, c)) for s in range(3)]
                 for tokens in variants:
                     pool.append((tokenize_pad(tokens, vocab, config.l_w),
                                  compatible_types(tokens)))
     return pool
 
 
-def pair_for_compatibility(type_id: int, pool, gen) -> Tuple[List[int], int]:
-    """Draw a question for an image, rebalanced to ~50% positive labels.
-
-    Returns (token_ids, compat_label).
-    """
+def compatibility_sampler(type_id: int, pool) -> Callable[..., Tuple[List[int], int]]:
+    """draw(gen) -> (token_ids, compat_label): a question for an image of type_id,
+    rebalanced to ~50% positive labels.  The pool is partitioned here, once."""
     if not pool:
         raise ValueError("question pool is empty")
     positives = [p for p in pool if type_id in p[1]]
     negatives = [p for p in pool if type_id not in p[1]]
-    if positives and negatives:
-        subset = positives if gen.random() < 0.5 else negatives
-    else:
-        subset = positives or negatives
-    ids, compat = subset[int(gen.integers(0, len(subset)))]
-    return ids, int(type_id in compat)
+
+    def draw(gen) -> Tuple[List[int], int]:
+        if positives and negatives:
+            subset = positives if gen.random() < 0.5 else negatives
+        else:
+            subset = positives or negatives
+        ids, compat = subset[int(gen.integers(0, len(subset)))]
+        return ids, int(type_id in compat)
+    return draw
 
 
 def pretrain_task_kind(type_id: int) -> str:
@@ -253,8 +255,8 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
     out = {}
     g = config.grid
     for type_id in range(3):
-        rng = Rng(seed).child(f"pretrain{type_id}")
-        gen = rng.gen
+        gen = Rng(seed).child(f"pretrain{type_id}").gen
+        draw_pair = compatibility_sampler(type_id, pool)
         samples = []
         for _ in range(n_per_type):
             shape_id = int(gen.integers(0, 3))
@@ -266,7 +268,7 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
                 target = shape_id                   # which shape
             else:
                 target = int(shape_id == 2)         # contains a cross?
-            ids, label = pair_for_compatibility(type_id, pool, gen)
+            ids, label = draw_pair(gen)
             samples.append(
                 PretrainSample(image=image, type_id=type_id, task_target=target,
                                paired_token_ids=ids, compat_label=label)

@@ -6,6 +6,7 @@ adding a new consumer never perturbs the streams of existing ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,13 +18,16 @@ def _name_key(name: str) -> int:
 
 
 class Rng:
-    """A named stream over numpy's SeedSequence tree."""
+    """A named stream over numpy's SeedSequence tree.  Its Generator is built on
+    the first read of `gen`, so a node used only to reach children builds none."""
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._key = _key
-        self._seq = np.random.SeedSequence(self.seed, spawn_key=_key)
-        self.gen = np.random.default_rng(self._seq)
+
+    @functools.cached_property
+    def gen(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self._key))
 
     def child(self, name: str) -> "Rng":
         """Independent stream addressed by (seed, path of names)."""

@@ -261,6 +261,7 @@ def test_criterion06_overfit_capability(tmp_path_factory, capfd):
     assert elapsed < 300
 
 
+@pytest.mark.slow
 def test_criterion07_pretraining_ordering(ablation, capfd):
     med = ablation.medians
     margin = med["multi"] - med["none"]
@@ -273,6 +274,7 @@ def test_criterion07_pretraining_ordering(ablation, capfd):
     assert margin >= 0.03, ablation.arms
 
 
+@pytest.mark.slow
 def test_criterion08_compatibility_transfer(ablation, capfd):
     compat = statistics.median(ablation.compat)
     multi = statistics.median(ablation.task_multi)

@@ -65,6 +65,7 @@ class TestValidation:
         "train_frac = 0.9\nval_frac = 0.2",
         "n_vqa = -5\neval_split = val",
         "n_pretrain = " + "1" + "0" * 400,
+        "image_size = 8\ngrid = 4",
     ])
     def test_invalid_settings_rejected(self, line):
         with pytest.raises(ConfigError):

@@ -1,11 +1,15 @@
 """Synthetic-data tests: determinism, probes, pairing, splits, on-disk layout."""
 
+import hashlib
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cmvqa import data as data_module
 from cmvqa.bundle import read_bundle
+from cmvqa.config import load_config
 from cmvqa.data import (
     ANSWERS,
     DataConfig,
@@ -13,13 +17,13 @@ from cmvqa.data import (
     build_vocabulary,
     compatible_types,
     closed_question,
+    compatibility_sampler,
     draw_image,
     generate_pretrain,
     generate_synthetic,
     generate_vqa,
     load_dataset,
     open_question,
-    pair_for_compatibility,
     pretrain_task_kind,
     question_pool,
     save_dataset,
@@ -144,19 +148,20 @@ class TestCompatibilityPairing:
         gen = np.random.default_rng(0)
         for _ in range(200):
             type_id = int(gen.integers(0, 3))
-            ids, label = pair_for_compatibility(type_id, pool, gen)
+            ids, label = compatibility_sampler(type_id, pool)(gen)
             tokens = [vocab.token_of(t) for t in ids if t != 0]
             assert label == int(type_id in compatible_types(tokens))
 
     def test_positive_fraction_near_half(self, config, vocab):
         pool = question_pool(config, vocab)
         gen = np.random.default_rng(1)
-        labels = [pair_for_compatibility(i % 3, pool, gen)[1] for i in range(10_000)]
+        draws = [compatibility_sampler(t, pool) for t in range(3)]
+        labels = [draws[i % 3](gen)[1] for i in range(10_000)]
         assert 0.45 <= np.mean(labels) <= 0.55
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            pair_for_compatibility(0, [], np.random.default_rng(0))
+            compatibility_sampler(0, [])
 
 
 class TestSplits:
@@ -190,6 +195,26 @@ class TestPretrainCorpora:
         for type_id in corpora:
             for s in corpora[type_id]["train"] + corpora[type_id]["val"]:
                 assert s.type_id == type_id
+
+    def test_drawing_tables_cannot_leak(self, config, vocab):
+        """The cached textures and shape masks are read-only, no image shares
+        memory with a table or another image, and each mask target is its own."""
+        vqa = flatten(generate_vqa(3, 30, config, vocab))
+        pretrain = generate_pretrain(3, 12, config, vocab)
+        samples = vqa + [s for t in pretrain for s in flatten(pretrain[t])]
+        cell = config.image_size // config.grid
+        tables = [data_module._textures(config.image_size)]
+        tables += [data_module._shape_mask(shape, cell) for shape in range(3)]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+        arrays = [s.image for s in samples]
+        arrays += [s.task_target for s in flatten(pretrain[0])]
+        for i, a in enumerate(arrays):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, table) for table in tables)
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
     def test_mask_marks_brightened_pixels(self, config, vocab):
         gen = np.random.default_rng(4)
@@ -236,6 +261,15 @@ class TestOnDiskLayout:
                         assert a.task_target.shape == b.task_target.shape
                     else:
                         assert type(b.task_target) is int and a.task_target == b.task_target
+
+    def test_desk_corpus_bytes_are_pinned(self, tmp_path):
+        """data.cmtb for the desk data settings, seed 0: any change to the
+        draw order, the drawing tables or the Rng streams changes this digest."""
+        config = load_config(Path(__file__).parents[1] / "configs" / "desk.cfg").data_config()
+        vqa, pretrain, vocab = generate_synthetic(0, {"vqa": 40, "pretrain": 12}, config)
+        save_dataset(vqa, pretrain, vocab, config, tmp_path / "ds")
+        digest = hashlib.sha256((tmp_path / "ds" / "data.cmtb").read_bytes()).hexdigest()
+        assert digest == "476b2dbc7c2b6a5c7a8e3bc0ad3c529a2be737ef2efc5dd7386c2256d080b40b"
 
     def test_one_bundle_of_stacked_entries(self, tmp_path, config):
         vqa, pretrain, vocab = generate_synthetic(17, {"vqa": 10, "pretrain": 6}, config)

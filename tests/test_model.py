@@ -1,5 +1,6 @@
 """Tests for model assembly, parameter registries, and checkpoints."""
 
+import hashlib
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -101,6 +102,20 @@ class TestParameterRegistry:
         b = VqaModel(config, vocab.size).params()
         for name in a:
             assert a[name].data.tobytes() == b[name].data.tobytes(), name
+
+    def test_initial_parameter_bytes_are_pinned(self):
+        """Every VqaModel and PretrainModel parameter at gradcheck.cfg, seed 0:
+        any change to the Rng streams or the init draws changes this digest."""
+        config = load_config(CONFIGS / "gradcheck.cfg")
+        assert config.seed == 0
+        size = build_vocabulary(config.data_config()).size
+        digest = hashlib.sha256()
+        for model in [VqaModel(config, size)] + [PretrainModel(config, size, t) for t in range(3)]:
+            for name, param in sorted(model.params().items()):
+                digest.update(name.encode())
+                digest.update(param.data.tobytes())
+        assert digest.hexdigest() == \
+            "370e8726f28a548a49d97ca728d43359516b39f08b6b5bf96ccbe852df667deb"
 
     def test_seed_changes_parameters(self, corpus):
         config, vocab, _, _ = corpus

@@ -38,3 +38,15 @@ def test_nested_children_deterministic():
     a = Rng(11).child("x").child("y").gen.integers(0, 1000, 8)
     b = Rng(11).child("x").child("y").gen.integers(0, 1000, 8)
     assert np.array_equal(a, b)
+
+
+def test_child_stream_does_not_depend_on_reading_the_parent():
+    """A node builds its generator on first read; reading the parent's first
+    (and drawing from it) leaves every child's stream as it is."""
+    untouched = Rng(5).child("a").child("b").gen.standard_normal(6)
+    root = Rng(5)
+    root.gen.standard_normal(50)
+    middle = root.child("a")
+    middle.gen.standard_normal(50)
+    assert np.array_equal(middle.child("b").gen.standard_normal(6), untouched)
+    assert root.gen is root.gen
