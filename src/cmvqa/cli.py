@@ -2,7 +2,10 @@
 
 Subcommands: gen-data, pretrain, train, eval, gradcheck.
 Exit codes: 0 success, 2 configuration/usage error, 3 check failure,
-4 numerical failure (outputs may be partial).
+4 numerical failure (outputs may be partial).  The grad check exits 3 when
+a coordinate's analytic gradient misses tol against the central difference,
+unless it sits at a kink: its two one-sided differences disagree by more
+than tol and the analytic value matches one of them.
 """
 
 from __future__ import annotations

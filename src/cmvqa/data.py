@@ -157,14 +157,19 @@ def split_sizes(n: int, fractions: Dict[str, float]) -> Dict[str, int]:
     return sizes
 
 
+@functools.lru_cache(maxsize=None)
+def _ranked(n: int) -> Tuple[int, ...]:
+    """range(n) ordered by a hash of each index, once per n: the three
+    pre-training corpora share one n."""
+    return tuple(sorted(range(n), key=lambda i: hashlib.sha256(f"split:{i}".encode()).hexdigest()))
+
+
 def split_indices(n: int, fractions: Dict[str, float]) -> Dict[str, List[int]]:
     """Deterministic disjoint splits: order indices by a hash, slice exact counts."""
-    ranked = sorted(
-        range(n), key=lambda i: hashlib.sha256(f"split:{i}".encode()).hexdigest()
-    )
+    ranked = _ranked(n)
     out, start = {}, 0
     for name, count in split_sizes(n, fractions).items():
-        out[name] = ranked[start : start + count]
+        out[name] = list(ranked[start : start + count])
         start += count
     return out
 

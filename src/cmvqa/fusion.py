@@ -18,7 +18,12 @@ whose affine maps act on r + 1 rows.
 
 Glimpse 0's logit between positions (i, p) and (j, p') is a word term plus a
 cell term, so its row softmax is a word softmax times a cell softmax and
-A B_0 = [alpha | beta]: ``grid_attention`` builds no (N, N) array.  Only the
+A B_0 = [alpha | beta]: ``grid_attention`` builds no (N, N) array.  Phi_0's
+word rows are [0 | 0 | q_i] and its cell rows [v_rc | s_rc | 0], so glimpse
+0's Q, K and V maps multiply only those two blocks, each by its rows of the
+weight, with the boundary (L_w, C_v + 8) taken from the config; the key side
+also takes each cell row less the first, which the cell softmax cancels, so
+channels equal at every cell get exact zero weight gradients.  Only the
 grid mean of the last glimpse's output is read, so that glimpse averages its
 attention rows per word first and ``pooled_values`` maps those L_w rows;
 ``factor_readout`` adds the residual's grid mean [mean v | mean s | q_i] and
@@ -192,14 +197,16 @@ def self_attention_pass(pair: tuple, params: GlimpseParams, config: CmsaConfig,
     b, phi = pair
     qk = (params.q_w, params.q_b, params.k_w, params.k_b)
     vo = (params.v_w, params.v_b, params.out_w, params.out_b)
+    blocks = None
     if isinstance(b, OneHotGrid):
-        rows, att = grid_attention(phi, qk, b.l_w, pool)
+        blocks = (b.l_w, config.c_v + 8)   # Phi_0's word rows and cell rows, see factor_rows
+        rows, att = grid_attention(phi, qk, blocks, pool)
     else:
         rows, att = attention_glimpse(b, phi, qk, config.l_w if pool else 0)
     if collect is not None:
         collect.factors.append((b, phi, params))
         collect.attention.append(att)
-    return pooled_values(rows, phi, vo) if pool else (rows, glimpse_values(phi, vo))
+    return pooled_values(rows, phi, vo) if pool else (rows, glimpse_values(phi, vo, blocks))
 
 
 def cmsa_fuse(v: Tensor, s: Tensor, q: QuestionEmbedding, params: CmsaParams,

@@ -566,16 +566,67 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 _OVERFLOW = "attention logits overflowed"
 
 
-def _rows_affine(phi: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Phi W + e b^T: the factor of [B | 1] Phi mapped by (W, b)."""
-    out = phi @ weight
-    out[-1] += bias
+def _blocks(phi: np.ndarray, blocks: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Views of Phi_0's two nonzero blocks for ``blocks`` = (L, c): the L word
+    rows' columns from c, and the cell rows' columns below c.  ``factor_rows``
+    writes only these; the rest of Phi_0, its constant row too, is zero."""
+    l_w, c = blocks
+    return phi[:l_w, c:], phi[l_w:-1, :c]
+
+
+def _check_blocks(phi: Tensor, blocks: tuple[int, int], op: str) -> None:
+    l_w, c = blocks
+    if not (0 < l_w < phi.shape[0] - 1 and 0 < c < phi.shape[-1]):
+        raise ShapeError(f"{op} of a factor {phi.shape} in blocks {blocks}")
+
+
+def _block_map(words: np.ndarray, cells: np.ndarray, weight: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Phi_0 W on its nonzero blocks, written into ``out``'s first L + G * G
+    rows: the word rows times W's last rows, the cell rows times its first."""
+    l_w, c = len(words), cells.shape[1]
+    np.matmul(words, weight[c:], out[:l_w])
+    np.matmul(cells, weight[:c], out[l_w:l_w + len(cells)])
     return out
 
 
-def _rows_affine_back(phi: np.ndarray, weight: np.ndarray, g: np.ndarray):
-    """Gradients (Phi, W, b) of ``_rows_affine``."""
-    return g @ weight.T, phi.T @ g, g[-1]
+def _block_map_back(words: np.ndarray, cells: np.ndarray, weight: np.ndarray, g: np.ndarray,
+                    g_words: np.ndarray, g_cells: np.ndarray) -> np.ndarray:
+    """W's gradient of ``_block_map`` from g, written as its two row blocks;
+    those of the two blocks are written into ``g_words`` and ``g_cells``."""
+    l_w, c = len(words), cells.shape[1]
+    r = l_w + len(cells)
+    g_w = np.empty(weight.shape)
+    np.matmul(words.T, g[:l_w], g_w[c:])
+    np.matmul(cells.T, g[l_w:r], g_w[:c])
+    np.matmul(g[:l_w], weight[c:].T, g_words)
+    np.matmul(g[l_w:r], weight[:c].T, g_cells)
+    return g_w
+
+
+def _rows_affine(phi: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                 blocks: tuple[int, int] | None = None) -> np.ndarray:
+    """Phi W + e b^T: the factor of [B | 1] Phi mapped by (W, b).  With
+    ``blocks``, Phi is Phi_0, mapped on its nonzero blocks only; its zero
+    constant row maps to b."""
+    if blocks is None:
+        out = phi @ weight
+        out[-1] += bias
+        return out
+    out = _block_map(*_blocks(phi, blocks), weight, np.empty((len(phi), len(bias))))
+    out[-1] = bias
+    return out
+
+
+def _rows_affine_back(phi: np.ndarray, weight: np.ndarray, g: np.ndarray,
+                      blocks: tuple[int, int] | None = None):
+    """Gradients (Phi, W, b) of ``_rows_affine``.  With ``blocks``, Phi_0's is
+    zero off its nonzero blocks, where ``factor_rows`` reads none."""
+    if blocks is None:
+        return g @ weight.T, phi.T @ g, g[-1]
+    g_phi = np.zeros(phi.shape)
+    g_w = _block_map_back(*_blocks(phi, blocks), weight, g, *_blocks(g_phi, blocks))
+    return g_phi, g_w, g[-1]
 
 
 def _with_ones(b: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -589,29 +640,54 @@ def grid_rows(m: np.ndarray, l_w: int) -> np.ndarray:
     return (m[:l_w, None] + m[None, l_w:-1]).reshape(-1, m.shape[1]) + m[-1]
 
 
-def _logit_factor(phi: Tensor, weights: Sequence[Tensor], op: str):
+def _logit_factor(phi: Tensor, weights: Sequence[Tensor], op: str,
+                  blocks: tuple[int, int] | None = None):
     """Phi_q = Phi W_q + e b_q^T, Phi_k = Phi W_k less the constant row, and
-    the (r + 1, r) M = Phi_q Phi_k^T."""
+    the (r + 1, r) M = Phi_q Phi_k^T.
+
+    With ``blocks``, Phi is Phi_0, mapped on its nonzero blocks, and the key
+    side takes each cell row less the first: a shift common to all cells,
+    which their softmax cancels.  A channel equal at every cell, as the cell
+    width and height are, then meets W_k as an exact 0, and its rows of W_k
+    get an exact zero gradient."""
     q_w, q_b, k_w, k_b = weights
     d_f, qkv = q_w.shape
     if k_w.shape != (d_f, qkv) or q_b.shape != (qkv,) or k_b.shape != (qkv,):
         raise ShapeError(f"{op} weights {[w.shape for w in weights]}")
     if phi.data.ndim != 2 or phi.shape[1] != d_f or phi.shape[0] < 2:
         raise ShapeError(f"{op} factor {phi.shape}, D = {d_f}")
-    phi_q = _checked(_rows_affine(phi.data, q_w.data, q_b.data), op, "q map")
-    phi_k = _checked(phi.data[:-1] @ k_w.data, op, "k map")
+    phi_q = _checked(_rows_affine(phi.data, q_w.data, q_b.data, blocks), op, "q map")
+    if blocks is None:
+        phi_k = phi.data[:-1] @ k_w.data
+    else:
+        words, cells = _blocks(phi.data, blocks)
+        phi_k = _block_map(words, cells - cells[0], k_w.data, np.empty((len(phi_q) - 1, qkv)))
+    phi_k = _checked(phi_k, op, "k map")
     return phi_q, phi_k, _checked(phi_q @ phi_k.T, op, _OVERFLOW)
 
 
 def _logit_factor_back(phi: Tensor, weights: Sequence[Tensor], phi_q: np.ndarray,
-                       phi_k: np.ndarray, g_m: np.ndarray) -> tuple:
+                       phi_k: np.ndarray, g_m: np.ndarray,
+                       blocks: tuple[int, int] | None = None) -> tuple:
     """Gradients (Phi, W_q, b_q, W_k, b_k) of ``_logit_factor`` from that of M.
-    b_k's is zero: the logits leave K's constant row out."""
+    b_k's is zero: the logits leave K's constant row out.  With ``blocks``,
+    the key side's shift gives the first cell row no term of its own: that
+    term is minus the sum of the cells' key gradients, which the cell
+    softmax makes zero."""
     q_w, _, k_w, _ = weights
-    g_phi, g_qw, g_qb = _rows_affine_back(phi.data, q_w.data, g_m @ phi_k)
-    g_phi_k = g_m.T @ phi_q
-    g_phi[:-1] += g_phi_k @ k_w.data.T
-    return g_phi, g_qw, g_qb, phi.data[:-1].T @ g_phi_k, np.zeros(q_w.shape[1])
+    g_q, g_k = g_m @ phi_k, g_m.T @ phi_q
+    g_phi, g_qw, g_qb = _rows_affine_back(phi.data, q_w.data, g_q, blocks)
+    if blocks is None:
+        g_phi[:-1] += g_k @ k_w.data.T
+        g_kw = phi.data[:-1].T @ g_k
+    else:
+        words, cells = _blocks(phi.data, blocks)
+        g_words, g_cells = np.empty(words.shape), np.empty(cells.shape)
+        g_kw = _block_map_back(words, cells - cells[0], k_w.data, g_k, g_words, g_cells)
+        acc_words, acc_cells = _blocks(g_phi, blocks)
+        acc_words += g_words
+        acc_cells += g_cells
+    return g_phi, g_qw, g_qb, g_kw, np.zeros(q_w.shape[1])
 
 
 def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
@@ -658,9 +734,9 @@ def attention_glimpse(b: Tensor, phi: Tensor, weights: Sequence[Tensor],
     return _node(rows @ bd, (b, phi, *weights), back, op), a
 
 
-def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int,
+def grid_attention(phi: Tensor, weights: Sequence[Tensor], blocks: tuple[int, int],
                    pool: bool = False) -> tuple[Tensor, np.ndarray]:
-    """Glimpse 0's attention over F = [B_0 | 1] Phi as one node, B_0 the
+    """Glimpse 0's attention over F = [B_0 | 1] Phi_0 as one node, B_0 the
     one-hot basis of ``grid_rows``: the values of ``attention_glimpse`` on
     B_0, with no (N, N) array.  The logit of positions (i, p) and (j, p') is
     T[(i, p), j] + T[(i, p), L + p'] up to a constant per row, T = [B_0 | 1] M,
@@ -668,13 +744,18 @@ def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int,
     softmax over T's L word columns and beta that over its cell columns, and
     A B_0 = [alpha | beta].  The output is [alpha | beta], (N, r), or with
     ``pool`` its (L, r) mean over each word's cells.  Returns the node and
-    [alpha | beta]."""
+    [alpha | beta].
+
+    Phi_0 is in ``factor_rows``'s layout, and ``blocks`` = (L, c) marks its
+    nonzero blocks: the L word rows' columns from c and the cell rows'
+    columns below c.  The Q and K maps multiply only those, and Phi_0's
+    gradient is zero elsewhere."""
     op = "grid_attention"
+    _check_blocks(phi, blocks, op)
+    l_w = blocks[0]
     r = phi.shape[0] - 1
     cells = r - l_w
-    if l_w < 1 or cells < 1:
-        raise ShapeError(f"{op} of a factor {phi.shape} over {l_w} words")
-    phi_q, phi_k, m = _logit_factor(phi, weights, op)
+    phi_q, phi_k, m = _logit_factor(phi, weights, op, blocks)
     t = _checked(grid_rows(m, l_w), op, _OVERFLOW)
     ab = _checked(np.concatenate((_softmax(t[:, :l_w]), _softmax(t[:, l_w:])), axis=1), op,
                   "attention")
@@ -692,7 +773,7 @@ def grid_attention(phi: Tensor, weights: Sequence[Tensor], l_w: int,
         g_3 = g_t.reshape(l_w, cells, r)
         g_m = np.concatenate((np.add.reduce(g_3, axis=1), np.add.reduce(g_3, axis=0),
                               np.add.reduce(g_t, axis=0, keepdims=True)))
-        return _logit_factor_back(phi, weights, phi_q, phi_k, g_m)
+        return _logit_factor_back(phi, weights, phi_q, phi_k, g_m, blocks)
 
     out = np.add.reduce(ab.reshape(l_w, cells, r), axis=1) / cells if pool else ab
     return _node(out, (phi, *weights), back, op), ab
@@ -706,18 +787,23 @@ def _check_values(phi: Tensor, weights: Sequence[Tensor], op: str) -> None:
         raise ShapeError(f"{op} factor {phi.shape} and weights {[w.shape for w in weights]}")
 
 
-def glimpse_values(phi: Tensor, weights: Sequence[Tensor]) -> Tensor:
+def glimpse_values(phi: Tensor, weights: Sequence[Tensor],
+                   blocks: tuple[int, int] | None = None) -> Tensor:
     """The value side of a glimpse as one node: Phi' = (Phi W_v + e b_v^T) W_out
     + e b_out^T, the factor of the glimpse's output map [A B | 1] Phi'.
-    ``weights`` is (v_w, v_b, out_w, out_b)."""
+    ``weights`` is (v_w, v_b, out_w, out_b).  Glimpse 0 passes ``blocks`` as
+    ``grid_attention`` takes them, so the V map multiplies only Phi_0's
+    nonzero blocks."""
     op = "glimpse_values"
     _check_values(phi, weights, op)
+    if blocks is not None:
+        _check_blocks(phi, blocks, op)
     v_w, v_b, out_w, out_b = weights
-    phi_v = _checked(_rows_affine(phi.data, v_w.data, v_b.data), op, "v map")
+    phi_v = _checked(_rows_affine(phi.data, v_w.data, v_b.data, blocks), op, "v map")
 
     def back(g: np.ndarray):
         g_v, g_ow, g_ob = _rows_affine_back(phi_v, out_w.data, g)
-        return _rows_affine_back(phi.data, v_w.data, g_v) + (g_ow, g_ob)
+        return _rows_affine_back(phi.data, v_w.data, g_v, blocks) + (g_ow, g_ob)
 
     return _node(_rows_affine(phi_v, out_w.data, out_b.data), (phi, *weights), back, op)
 

@@ -112,6 +112,17 @@ def one_hot_basis(config) -> Tensor:
     return Tensor(b)
 
 
+def phi0_blocks(shape: tuple, blocks: tuple) -> np.ndarray:
+    """True on the two blocks of a (L + G * G + 1, D) Phi_0 that ``factor_rows``
+    writes, for ``blocks`` = (L, C_v + 8): the word rows' last columns and the
+    cell rows' first ones.  Every other entry of Phi_0 is zero."""
+    l_w, c = blocks
+    mask = np.zeros(shape, dtype=bool)
+    mask[:l_w, c:] = True
+    mask[l_w:-1, :c] = True
+    return mask
+
+
 def map_pair(x: Tensor) -> tuple:
     """An (L, G, G, D) map as the glimpse pair (identity, [X; 0])."""
     flat = reshape(x, (-1, x.shape[-1]))

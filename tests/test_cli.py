@@ -325,3 +325,12 @@ class TestGradCheckCommand:
         )
         assert main(["gradcheck", "--config", str(cfg)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_relu_kink_at_seed_21_exits_zero(self, capsys):
+        """At seed 21 a pre-activation of backbone/head/layer0 sits within h
+        of zero; its coordinates pass against a one-sided difference."""
+        cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "gradcheck.cfg")
+        assert main(["gradcheck", "--config", cfg, "--seed", "21"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("grad check: PASS (tol=0.0001, h=1e-05, 2 coords checked at a kink)")
+        assert "backbone/head/layer0/b: " in out and "4 coords, 1 at a kink)" in out

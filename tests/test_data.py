@@ -176,6 +176,15 @@ class TestSplits:
         b = split_indices(50, {"train": 0.8, "val": 0.2})
         assert a == b
 
+    def test_a_caller_cannot_change_a_later_split(self):
+        """The order is ranked once per n; each call gets lists of its own."""
+        fractions = {"train": 0.8, "val": 0.2}
+        want = split_indices(50, fractions)
+        got = split_indices(50, fractions)
+        got["train"].reverse()
+        got["val"].clear()
+        assert split_indices(50, fractions) == want
+
 
 class TestPretrainCorpora:
     def test_task_targets_by_type(self, config, vocab):

@@ -41,6 +41,7 @@ from layer_oracles import (
     map_pair,
     one_hot_basis,
     pair_map,
+    phi0_blocks,
     self_attention_composition,
     self_attention_map,
 )
@@ -433,7 +434,8 @@ class TestPooledPass:
         forward or backward: every product with a glimpse's weights runs on
         the r = L_w + G * G rows of the factor, or on those and the constant
         row, except the last glimpse's value and out maps, which run on its
-        L_w pooled rows; recorded by shape."""
+        L_w pooled rows, and glimpse 0's unpooled Q, K and V maps, which run
+        on Phi_0's word block and cell block only; recorded by shape."""
         config = CmsaConfig(l_w=3, g=2, c_v=8, d_q=8, glimpses=glimpses)
         params = init_cmsa(Rng(22).gen, config)
         v, s, q = random_inputs(gen, config)
@@ -446,17 +448,24 @@ class TestPooledPass:
         f_hat, state = cmsa_fuse(v, s, q, params, config)
         sum_over_axes(f_hat, (0, 1)).backward()
 
-        l_w, r = config.l_w, config.l_w + config.g ** 2
+        l_w, cells = config.l_w, config.g ** 2
+        r, c = l_w + cells, config.c_v + 8
         qkv, d_f = config.qkv_channels, config.d_f
         # K's map skips the constant row; forward X W and backward g W^T
         shapes = {"q_w": ((d_f, qkv), (qkv, d_f)), "k_w": ((d_f, qkv), (qkv, d_f)),
                   "v_w": ((d_f, qkv), (qkv, d_f)), "out_w": ((qkv, d_f), (d_f, qkv))}
-        assert len(products) == 4 * 2 * glimpses
+        # the word rows by W's last D_q rows, the cell rows by its first C_v + 8
+        blocks = {((l_w, d_f - c), (d_f - c, qkv)), ((cells, c), (c, qkv)),
+                  ((l_w, qkv), (qkv, d_f - c)), ((cells, qkv), (qkv, c))}
+        blocked = 3 if glimpses > 1 else 2   # Q, K, and V unless glimpse 0 is pooled
+        assert len(products) == 4 * 2 * glimpses + 2 * blocked
         for tags, operands in products:
             (i, name), = tags - {None}
             pooled = i == glimpses - 1 and name in ("v_w", "out_w")
             allowed = {((rows, w[0]), w) for w in shapes[name]
                        for rows in ((l_w,) if pooled else (r, r + 1))}
+            if i == 0 and name != "out_w" and not pooled:
+                allowed = blocks
             assert operands in allowed, (i, name, operands)
         assert len(state.a) == len(state.q) == len(state.v) == glimpses
 
@@ -661,12 +670,15 @@ class TestGridGlimpse:
         for w in weights:
             w.data += gen.standard_normal(w.shape) * 0.1   # nonzero biases
         r = config.l_w + config.g ** 2
-        phi = Tensor(gen.standard_normal((r + 1, config.d_f)) * 0.5, requires_grad=True)
+        blocks = (config.l_w, config.c_v + 8)
+        in_blocks = phi0_blocks((r + 1, config.d_f), blocks)
+        phi = Tensor(np.where(in_blocks, gen.standard_normal(in_blocks.shape) * 0.5, 0.0),
+                     requires_grad=True)
         rows = config.l_w if pool else config.n_positions
         coeffs = Tensor(gen.standard_normal((rows, r)))
         leaves = [phi] + weights
 
-        out, ab = grid_attention(phi, weights, config.l_w, pool)
+        out, ab = grid_attention(phi, weights, blocks, pool)
         want, a = attention_glimpse(one_hot_basis(config), phi, weights,
                                     config.l_w if pool else 0)
         assert out.shape == want.shape == (rows, r)
@@ -675,10 +687,58 @@ class TestGridGlimpse:
         grid_a = (ab[:, :l_w, None] * ab[:, None, l_w:]).reshape(config.n_positions, -1)
         assert _rel(grid_a, a) <= REL_TOL
         got_grads = _grads(lambda: sum_over_axes(mul(out, coeffs), (0, 1)), leaves)
-        for g, w in zip(got_grads, _grads(lambda: sum_over_axes(mul(want, coeffs), (0, 1)),
-                                          leaves)):
+        want_grads = _grads(lambda: sum_over_axes(mul(want, coeffs), (0, 1)), leaves)
+        # Phi_0's gradient only where factor_rows reads it, zero elsewhere
+        assert _rel(got_grads[0][in_blocks], want_grads[0][in_blocks]) <= REL_TOL
+        assert not got_grads[0][~in_blocks].any()
+        for g, w in zip(got_grads[1:], want_grads[1:]):
             assert _rel(g, w) <= REL_TOL
         assert not got_grads[-1].any()   # b_k's gradient: zeros, not None
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
+    @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, dict(l_w=1, g=3, c_v=4, d_q=5),
+                                      dict(l_w=4, g=1, c_v=4, d_q=5)],
+                             ids=["gradcheck", "one-word", "one-cell"])
+    def test_glimpse0_never_reads_phi0_zeros(self, gen, dims, pool):
+        """With NaN in every entry of Phi_0 that factor_rows leaves zero, glimpse
+        0's attention and values, Phi_0's gradient and every weight's keep the
+        bytes of the clean run."""
+        config = CmsaConfig(**dims, glimpses=1)
+        params = init_cmsa(Rng(43).gen, config).glimpses[0]
+        for p in vars(params).values():
+            p.data += gen.standard_normal(p.shape) * 0.1   # nonzero biases
+        v, s, q = random_inputs(gen, config)
+        clean = factor_rows(v, s, q.q).data
+        blocks = (config.l_w, config.c_v + 8)
+        dirty = np.where(phi0_blocks(clean.shape, blocks), clean, np.nan)
+        weights = list(vars(params).values())
+        r = clean.shape[0] - 1
+        coeffs = (Tensor(gen.standard_normal((config.l_w if pool else config.n_positions, r))),
+                  Tensor(gen.standard_normal((r + 1, config.d_f))))
+
+        def run(data):
+            phi = Tensor(data, requires_grad=True)
+            for w in weights:
+                w.zero_grad()
+            rows, ab = grid_attention(phi, weights[:4], blocks, pool)
+            values = glimpse_values(phi, weights[4:], blocks)
+            add(sum_over_axes(mul(rows, coeffs[0]), (0, 1)),
+                sum_over_axes(mul(values, coeffs[1]), (0, 1))).backward()
+            return [rows.data, ab, values.data, phi.grad] + [w.grad for w in weights]
+
+        for got, want in zip(run(dirty), run(clean)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_glimpse0_key_rows_of_cell_constant_channels_get_exact_zeros(self, g):
+        """The spatial channels 6 and 7, the cell width and height, are 2/G at
+        every cell, so the cell softmax cancels them: their rows of glimpse 0's
+        W_k get exact zeros, not roundoff, and the other rows do not."""
+        config = CmsaConfig(l_w=3, g=g, c_v=6, d_q=5, glimpses=2)
+        k_w = _fuse_grads(cmsa_fuse, config, _fuse_case(config))[1]["glimpse0/k_w"]
+        wh = config.c_v + 6
+        assert not k_w[wh:wh + 2].any()
+        assert np.abs(np.delete(k_w, [wh, wh + 1], axis=0)).min(axis=1).all()
 
     @pytest.mark.parametrize("dims", [GRADCHECK_DIMS, DESK_DIMS], ids=["gradcheck", "desk"])
     def test_pooled_values_match_glimpse_values_then_grid_mean(self, gen, dims):

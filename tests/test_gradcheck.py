@@ -2,7 +2,10 @@
 
 import numpy as np
 
+import pytest
+
 from cmvqa.numerics import Tensor, grad_check, mul, relu, sum_over_axes
+from cmvqa.numerics.tensor import _node
 
 
 def test_square_at_three():
@@ -54,3 +57,37 @@ def test_params_restored_after_check(gen):
     before = x.data.copy()
     grad_check(lambda: sum_over_axes(mul(x, x), (0,)), {"x": x}, h=1e-5, tol=1e-4)
     assert np.array_equal(x.data, before)
+
+
+def _hinge(x: Tensor, slope: float, claimed: float) -> Tensor:
+    """slope * max(x, 0), whose backward claims ``claimed`` for x > 0."""
+    return _node(slope * np.maximum(x.data, 0.0), (x,),
+                 lambda g: (g * claimed * (x.data > 0),), "hinge")
+
+
+def test_kink_inside_the_stencil_passes_on_a_one_sided_difference():
+    # x = 2e-6 is within h of the kink: the central difference reads 0.6 * 3,
+    # the right one 3 and the left one 0.6
+    x = Tensor(np.array(2e-6), requires_grad=True)
+    report = grad_check(lambda: _hinge(x, 3.0, 3.0), {"x": x}, h=1e-5, tol=1e-4)
+    assert report.passed, report.summary()
+    assert report.checks[0].kinks == 1
+    assert abs(report.checks[0].fd - 3.0) < 1e-9
+    assert "1 coords checked at a kink" in report.summary()
+
+
+@pytest.mark.parametrize("claimed", [2.0, 1.0, 0.0])
+def test_wrong_gradient_next_to_a_kink_fails(claimed):
+    """The claimed slope is neither the central difference (1.8) nor either
+    one-sided one (3 and 0.6), so the kink rule must not pass it."""
+    x = Tensor(np.array(2e-6), requires_grad=True)
+    report = grad_check(lambda: _hinge(x, 3.0, claimed), {"x": x}, h=1e-5, tol=1e-4)
+    assert not report.passed
+    assert report.checks[0].kinks == 0
+
+
+def test_smooth_wrong_gradient_is_not_taken_for_a_kink():
+    # away from the kink both one-sided differences agree, so no rescue
+    x = Tensor(np.array(0.5), requires_grad=True)
+    report = grad_check(lambda: _hinge(x, 3.0, 2.0), {"x": x}, h=1e-5, tol=1e-4)
+    assert not report.passed and report.checks[0].kinks == 0

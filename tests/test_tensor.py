@@ -46,6 +46,7 @@ from layer_oracles import (
     multimodal_channel_map,
     one_hot_basis,
     pair_map,
+    phi0_blocks,
     transpose2d,
 )
 
@@ -493,11 +494,13 @@ OP_CASES = {
         Tensor(np.eye(4)), p["att_phi"], _weights(p, QK))[0],
     "attention_glimpse[factors, pooled]": lambda p, g: attention_glimpse(
         p["att_b"], p["att_phi"], _weights(p, QK), pool=2)[0],
-    # Phi's 4 factor rows as 2 words and 2 cells
-    "grid_attention": lambda p, g: grid_attention(p["att_phi"], _weights(p, QK), 2)[0],
+    # Phi_0's 4 factor rows as 2 words and 2 cells, in factor_rows's layout
+    "grid_attention": lambda p, g: grid_attention(p["grid_phi"], _weights(p, QK), GRID_BLOCKS)[0],
     "grid_attention[pooled]": lambda p, g: grid_attention(
-        p["att_phi"], _weights(p, QK), 2, pool=True)[0],
+        p["grid_phi"], _weights(p, QK), GRID_BLOCKS, pool=True)[0],
     "glimpse_values": lambda p, g: glimpse_values(p["att_phi"], _weights(p, VO)),
+    "glimpse_values[blocks]": lambda p, g: glimpse_values(p["grid_phi"], _weights(p, VO),
+                                                          GRID_BLOCKS),
     "pooled_values": lambda p, g: pooled_values(p["att_bar"], p["att_phi"], _weights(p, VO)),
     "factor_rows": lambda p, g: factor_rows(p["grid"], p["fr_s"], p["words"]),
     # 3 words and 1 cell
@@ -507,6 +510,7 @@ OP_CASES = {
 
 QK = ("aq_w", "aq_b", "ak_w", "ak_b")
 VO = ("av_w", "av_b", "ao_w", "ao_b")
+GRID_BLOCKS = (2, 2)   # 2 word rows on columns 2:, 2 cell rows on columns :2
 
 
 def _weights(p, names) -> list:
@@ -514,7 +518,7 @@ def _weights(p, names) -> list:
 
 
 def _op_inputs(gen) -> dict:
-    return {
+    inputs = {
         "a": Tensor(gen.standard_normal((2, 3)) + 0.1, requires_grad=True),
         "b": Tensor(gen.standard_normal((2, 3)), requires_grad=True),
         "row": Tensor(gen.standard_normal((1, 4)), requires_grad=True),
@@ -548,6 +552,10 @@ def _op_inputs(gen) -> dict:
             ("aq_w", (4, 3)), ("aq_b", (3,)), ("ak_w", (4, 3)), ("ak_b", (3,)),
             ("av_w", (4, 3)), ("av_b", (3,)), ("ao_w", (3, 4)), ("ao_b", (4,)))},
     }
+    phi = inputs["att_phi"].data
+    inputs["grid_phi"] = Tensor(np.where(phi0_blocks(phi.shape, GRID_BLOCKS), phi, 0.0),
+                                requires_grad=True)
+    return inputs
 
 
 @pytest.mark.parametrize("op_name", sorted(OP_CASES))
@@ -623,9 +631,10 @@ def _touches(op_name: str, key: str) -> bool:
         "weighted_sum": {"mix", "a", "b", "c"},
         "attention_glimpse": {"att_phi", *QK},
         "attention_glimpse[factors, pooled]": {"att_b", "att_phi", *QK},
-        "grid_attention": {"att_phi", *QK},
-        "grid_attention[pooled]": {"att_phi", *QK},
+        "grid_attention": {"grid_phi", *QK},
+        "grid_attention[pooled]": {"grid_phi", *QK},
         "glimpse_values": {"att_phi", *VO},
+        "glimpse_values[blocks]": {"grid_phi", *VO},
         "pooled_values": {"att_bar", "att_phi", *VO},
         "factor_rows": {"grid", "fr_s", "words"},
         "factor_readout": {"att_bar", "fr_phi", "ro_w", "ro_b"},
@@ -783,6 +792,19 @@ def test_conv2d_relu_bit_identical_to_conv2d_then_relu(gen, stride, padding, tra
     assert (fused[-1] is None) == (not tracked)
 
 
+@pytest.mark.parametrize("blocks", [(0, 2), (4, 2), (2, 0), (2, 4)])
+def test_block_boundary_outside_the_factor_rejected(blocks):
+    """Phi_0 (5, 4) holds L word rows, at least one cell row and the constant
+    row, and each kind of row at least one column."""
+    phi = Tensor(np.zeros((5, 4)))
+    qk = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (4, 2), (2,))]
+    vo = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (2, 4), (4,))]
+    with pytest.raises(ShapeError, match=r"grid_attention of a factor \(5, 4\) in blocks"):
+        grid_attention(phi, qk, blocks)
+    with pytest.raises(ShapeError, match="glimpse_values of a factor"):
+        glimpse_values(phi, vo, blocks)
+
+
 def test_attention_glimpse_rejects_mismatched_weights():
     phi = Tensor(np.zeros((3, 4)))
     weights = [Tensor(np.zeros(shape)) for shape in ((4, 2), (2,), (4, 3), (2,))]
@@ -806,9 +828,10 @@ def test_attention_glimpse_rejects_mismatched_weights():
     ("weighted_sum", lambda t: weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones(t.shape)), t])),
     ("attention_glimpse", lambda t: attention_glimpse(
         Tensor(np.eye(1)), t, [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,))])[0]),
+    # the bad value in the word row's block, which glimpse 0 reads
     ("grid_attention", lambda t: grid_attention(
-        Tensor(t.data.reshape(3, 2)),
-        [Tensor(np.ones(shape)) for shape in ((2, 1), (1,), (2, 1), (1,))], 1)[0]),
+        Tensor(np.fliplr(t.data.reshape(3, 2))),
+        [Tensor(np.ones(shape)) for shape in ((2, 1), (1,), (2, 1), (1,))], (1, 1))[0]),
     ("pooled_values", lambda t: pooled_values(
         Tensor(np.ones((1, 1))), t,
         [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (1, 3), (3,))])),

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cmvqa.config import RunConfig
+from cmvqa.config import RunConfig, load_config
 from cmvqa.data import build_vocabulary, generate_synthetic, save_dataset
 from cmvqa.train import (
     METRICS_HEADER,
@@ -258,3 +258,14 @@ class TestModelGradCheck:
         report = run_gradcheck(config, corrupt_param="lstm/b")
         assert not report.passed
         assert report.worst.name == "lstm/b"
+
+    def test_negative_control_fails_at_a_kink(self):
+        """At seed 21 backbone/head/layer0/b[0] sits at a ReLU kink; with the
+        parameter corrupted neither one-sided difference matches, so it fails."""
+        config = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                          "gradcheck.cfg"))
+        config.seed = 21
+        report = run_gradcheck(config, corrupt_param="backbone/head/layer0/b")
+        assert not report.passed
+        assert report.worst.name == "backbone/head/layer0/b"
+        assert [c.name for c in report.checks if c.max_rel_err > report.tol] == [report.worst.name]
