@@ -52,6 +52,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
+            config.validate()
         config_text = dump_config(config)
 
         if args.command == "gen-data":
@@ -103,13 +104,7 @@ def main(argv=None) -> int:
             vqa, _, vocab, data_config = load_dataset(config.data_dir)
             config.check_dataset(data_config)
             model = VqaModel(config, vocab.size)
-            params = model.params()
-            arrays, _, _ = load_checkpoint(args.init)
-            missing = sorted({name.rsplit("/", 1)[0] for name in params if name not in arrays})
-            if missing:
-                raise ConfigError(f"checkpoint {args.init} lacks parameter groups: "
-                                  + ", ".join(missing))
-            apply_checkpoint(params, arrays)
+            apply_checkpoint(model.params(), load_checkpoint(args.init)[0])
             metrics = run_eval(model, vqa[config.eval_split])
             for key in ("open_acc", "closed_acc", "all_acc", "type_acc"):
                 print(f"{key}={metrics[key]:.6f}")

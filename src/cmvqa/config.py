@@ -77,6 +77,8 @@ class RunConfig(DataConfig):
                     "image_size", "grid", "c_v", "d_q", "l_w", "glimpses", "n_vqa", "n_pretrain"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d_emb < 2:
             raise ConfigError(f"d_emb must be >= 2, one column per embedding half, got {self.d_emb}")
         # the backbone reaches the grid by stride-2 layers, at least one

@@ -204,26 +204,22 @@ def load_checkpoint(path):
     return arrays, step, text
 
 
-def apply_checkpoint(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray],
-                     prefix: str = "") -> int:
-    """Copy matching entries into live parameters; returns the copy count.
+def apply_checkpoint(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray]) -> int:
+    """Copy each parameter's checkpoint entry into it; returns the copy count.
 
-    With a prefix, only names starting with it transfer (encoder transfer path).
-    Shape mismatches on matching names are errors.
+    The checkpoint must cover params: every parameter needs an entry of its
+    shape, and all are checked before any is copied.  Missing parameters are
+    named by group; entries that no parameter has are not read.
     """
-    copied = 0
-    for name, arr in arrays.items():
-        if prefix and not name.startswith(prefix):
-            continue
-        if name not in params:
-            if prefix:
-                raise ShapeError(f"checkpoint entry {name!r} has no matching parameter")
-            continue
-        if params[name].data.shape != arr.shape:
-            raise ShapeError(
-                f"checkpoint entry {name!r} shape {arr.shape} does not match "
-                f"parameter shape {params[name].data.shape}"
-            )
-        params[name].data[...] = arr
-        copied += 1
-    return copied
+    missing = set()
+    for name, p in params.items():
+        if name not in arrays:
+            missing.add(name.rsplit("/", 1)[0])
+        elif arrays[name].shape != p.data.shape:
+            raise ShapeError(f"checkpoint entry {name!r} shape {arrays[name].shape} does not "
+                             f"match parameter shape {p.data.shape}")
+    if missing:
+        raise ShapeError("checkpoint lacks parameter groups: " + ", ".join(sorted(missing)))
+    for name, p in params.items():
+        p.data[...] = arrays[name]
+    return len(params)

@@ -160,8 +160,7 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
     model = VqaModel(config, vocab.size)
     params = model.params()
     if init_path:
-        arrays, _, _ = load_checkpoint(init_path)
-        apply_checkpoint(params, arrays, prefix="backbone/")
+        apply_checkpoint(_encoders(params), load_checkpoint(init_path)[0])
 
     os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
@@ -190,6 +189,11 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
 # -- pre-training -----------------------------------------------------------------------
 
 
+def _encoders(params: Dict[str, Tensor]) -> Dict[str, Tensor]:
+    """The encoder parameters: what pre-training hands to VQA training."""
+    return {name: t for name, t in params.items() if name.startswith("backbone/")}
+
+
 def _pretrain_val_metrics(model: PretrainModel, samples):
     task_hits, task_total, com_hits = 0, 0, []
     for s in samples:
@@ -215,6 +219,11 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
     """
     _, pretrain, vocab, data_config = load_dataset(config.data_dir)
     config.check_dataset(data_config)
+    models = []
+    for type_id in range(3):
+        if not pretrain[type_id]["train"]:
+            raise ValueError(f"pretrain train split for type {type_id} is empty")
+        models.append(PretrainModel(config, vocab.size, type_id))
     os.makedirs(out_dir, exist_ok=True)
 
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
@@ -222,15 +231,9 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
     with open(acc_path, "w", encoding="utf-8") as fh:
         fh.write("encoder,task_acc,compat_acc\n")
 
-    combined = {}
-    results = {}
-    global_step = 0
-    for type_id in range(3):
+    combined, results, global_step = {}, {}, 0
+    for type_id, model in enumerate(models):
         corpus = pretrain[type_id]
-        train = corpus["train"]
-        if not train:
-            raise ValueError(f"pretrain train split for type {type_id} is empty")
-        model = PretrainModel(config, vocab.size, type_id)
         params = model.params()
 
         def sample_loss(s, training):
@@ -238,7 +241,7 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
             return pretrain_loss(task_logits, s.task_target, com_logits, s.compat_label)
 
         rng = Rng(config.seed).child(f"pretrain-loop-{type_id}")
-        for step, reports in _fit(params, train, rng, config.pretrain_steps,
+        for step, reports in _fit(params, corpus["train"], rng, config.pretrain_steps,
                                   config.pretrain_batch, config, sample_loss):
             l_spe, l_com = _mean(reports, "l_spe"), _mean(reports, "l_com")
             writer.row(global_step + step, l_spe=l_spe, l_com=l_com,
@@ -253,9 +256,7 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
 
         save_checkpoint(params, config.pretrain_steps, config_text,
                         os.path.join(out_dir, f"pretrain_{TYPE_NAMES[type_id]}.cmtb"))
-        for name, tensor in params.items():
-            if name.startswith("backbone/"):
-                combined[name] = tensor
+        combined.update(_encoders(params))
 
     save_checkpoint(combined, config.pretrain_steps, config_text,
                     os.path.join(out_dir, "pretrain_all.cmtb"))

@@ -38,6 +38,14 @@ def workspace(tmp_path_factory):
     return root, cfg
 
 
+@pytest.fixture(scope="module")
+def pretrained(workspace):
+    """The workspace's pre-training output directory."""
+    root, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg), "--out", str(root / "pre-init")]) == 0
+    return root / "pre-init"
+
+
 def _flags(command, out, root):
     """The --out and --init flags `command` takes: an output directory `out`
     and a checkpoint path under `root` that does not exist."""
@@ -45,6 +53,14 @@ def _flags(command, out, root):
              "eval": ["--init"]}[command]
     values = {"--out": str(out), "--init": str(root / "any.cmtb")}
     return [arg for flag in flags for arg in (flag, values[flag])]
+
+
+def _without_chest_layer1_weight(pre, tmp_path):
+    """pretrain_all.cmtb less one weight of one encoder layer."""
+    arrays = read_bundle(pre / "pretrain_all.cmtb")
+    del arrays["backbone/chest/layer1/w"]
+    write_bundle(arrays, tmp_path / "short.cmtb")
+    return tmp_path / "short.cmtb"
 
 
 def _assert_dataset_rejected(tmp_path, cfg, capsys, named):
@@ -247,11 +263,12 @@ class TestErrors:
         (("steps = 4", "steps = 4\nshape_gain = inf"), "shape_gain must be finite"),
         (("steps = 4", "steps = 4\ntrain_frac = nan"), "train_frac must be in (0, 1)"),
         (("steps = 4", "steps = 4\nval_frac = nan"), "val_frac must be in [0, 1)"),
+        (("steps = 4", "steps = 4\nseed = -1"), "seed must be >= 0, got -1"),
     ], ids=["empty-pretrain-val", "empty-vqa-test", "log-every-0", "lr-nan", "lr-negative",
             "d-q-0", "c-v-0", "l-w-0", "d-emb-1", "grid-3", "image-size-7", "image-size-is-grid",
             "two-pixel-cells",
             "glimpses-0", "noise-negative", "alpha-nan", "alpha-inf", "shape-gain-nan",
-            "shape-gain-inf", "train-frac-nan", "val-frac-nan"])
+            "shape-gain-inf", "train-frac-nan", "val-frac-nan", "seed-negative"])
     def test_unworkable_value_rejected_before_output(self, workspace, tmp_path, capsys,
                                                      edit, named):
         root, cfg = workspace
@@ -262,6 +279,46 @@ class TestErrors:
             assert main([command, "--config", str(bad), *_flags(command, out, root)]) == 2
             captured = capsys.readouterr()
             assert named in captured.err and captured.out == ""
+            assert not out.exists()
+
+    def test_negative_seed_flag_rejected_before_output(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        for command in ("gen-data", "pretrain", "train", "eval"):
+            out = tmp_path / command
+            argv = [command, "--config", str(cfg), "--seed", "-1", *_flags(command, out, root)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "seed must be >= 0, got -1" in captured.err and captured.out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoint, missing", [
+        (lambda pre, tmp: pre.parent / "data" / "data.cmtb",
+         [f"backbone/{t}/layer{i}" for t in ("abdomen", "head", "chest") for i in (0, 1)]),
+        (lambda pre, tmp: pre / "pretrain_head.cmtb",
+         [f"backbone/{t}/layer{i}" for t in ("abdomen", "chest") for i in (0, 1)]),
+        (_without_chest_layer1_weight, ["backbone/chest/layer1"]),
+    ], ids=["dataset", "one-encoder", "one-layer-short"])
+    def test_init_that_does_not_cover_the_encoders_rejected_before_output(
+            self, workspace, pretrained, tmp_path, capsys, checkpoint, missing):
+        _, cfg = workspace
+        path = checkpoint(pretrained, tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "tr"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--init", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: checkpoint lacks parameter groups: {', '.join(sorted(missing))}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_missing_frozen_embedding_rejected_before_output(self, workspace, tmp_path, capsys):
+        _, cfg = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + f"frozen_embedding_path = {tmp_path / 'absent.cmtb'}\n")
+        for command in ("pretrain", "train"):
+            out = tmp_path / command
+            assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert "absent.cmtb" in captured.err and captured.out == ""
             assert not out.exists()
 
     def test_non_finite_checkpoint_rejected_before_output(self, workspace, tmp_path, capsys):

@@ -367,9 +367,13 @@ class TestCheckpoints:
 
     def test_full_restore_skips_unknown_names(self, corpus):
         config, vocab, _, _ = corpus
-        model = VqaModel(config, vocab.size)
-        copied = apply_checkpoint(model.params(), {"not/a/param": np.zeros(3)})
-        assert copied == 0
+        source = VqaModel(tiny_config(seed=99), vocab.size).params()
+        arrays = {name: t.data.copy() for name, t in source.items()}
+        arrays["not/a/param"] = np.zeros(3)
+        params = VqaModel(config, vocab.size).params()
+        assert apply_checkpoint(params, arrays) == len(params)
+        for name in params:
+            assert params[name].data.tobytes() == source[name].data.tobytes()
 
     def test_shape_mismatch_raises(self, corpus):
         config, vocab, _, _ = corpus
@@ -377,34 +381,57 @@ class TestCheckpoints:
         with pytest.raises(ShapeError, match="shape"):
             apply_checkpoint(model.params(), {"lstm/b": np.zeros(1)})
 
+    @pytest.mark.parametrize("flaw", ["missing", "shape"])
+    def test_refused_checkpoint_leaves_every_parameter_unchanged(self, corpus, flaw):
+        """The flaw sits in the last parameter, so every other entry would
+        have been copied by a rule that checks as it copies."""
+        config, vocab, _, _ = corpus
+        source = VqaModel(tiny_config(seed=99), vocab.size).params()
+        arrays = {name: t.data.copy() for name, t in source.items()}
+        last = list(source)[-1]
+        if flaw == "missing":
+            del arrays[last]
+        else:
+            arrays[last] = np.zeros(arrays[last].size + 1)
+        params = VqaModel(config, vocab.size).params()
+        before = {name: t.data.tobytes() for name, t in params.items()}
+        with pytest.raises(ShapeError, match=last.rsplit("/", 1)[0]):
+            apply_checkpoint(params, arrays)
+        assert {name: t.data.tobytes() for name, t in params.items()} == before
+
+
+def _encoder_params(params):
+    return {name: t for name, t in params.items() if name.startswith("backbone/")}
+
 
 class TestEncoderTransfer:
-    def test_prefix_transfer_copies_backbone_bitwise(self, corpus, tmp_path):
+    def test_full_encoder_transfer_copies_backbones_bitwise(self, corpus, tmp_path):
+        """The three pre-trained encoders, as pretrain_all.cmtb holds them,
+        load bitwise; every other parameter keeps its own initialization."""
         config, vocab, _, _ = corpus
-        donor = PretrainModel(config, vocab.size, 0)
+        donor = {}
+        for type_id in range(3):
+            donor.update(_encoder_params(PretrainModel(config, vocab.size, type_id).params()))
         path = tmp_path / "pre.cmtb"
-        save_checkpoint(donor.params(), 5, "", path)
+        save_checkpoint(donor, 5, "", path)
         arrays, _, _ = load_checkpoint(path)
 
-        target = VqaModel(config, vocab.size)
-        params = target.params()
-        before_head = {n: params[n].data.copy() for n in params
-                       if n.startswith("backbone/head/")}
-        copied = apply_checkpoint(params, arrays, prefix="backbone/")
-        donor_backbone = [n for n in donor.params() if n.startswith("backbone/")]
-        assert copied == len(donor_backbone)
-        for name in donor_backbone:
-            assert params[name].data.tobytes() == arrays[name].tobytes()
-        # untouched encoders keep their own initialization
-        for name, arr in before_head.items():
-            assert params[name].data.tobytes() == arr.tobytes()
+        params = VqaModel(config, vocab.size).params()
+        before = {n: t.data.tobytes() for n, t in params.items() if n not in donor}
+        assert apply_checkpoint(_encoder_params(params), arrays) == len(donor)
+        for name in donor:
+            assert params[name].data.tobytes() == donor[name].data.tobytes()
+        assert {n: params[n].data.tobytes() for n in before} == before
 
-    def test_prefix_transfer_requires_matching_names(self, corpus):
+    def test_one_encoder_checkpoint_names_the_missing_encoders(self, corpus):
         config, vocab, _, _ = corpus
-        model = VqaModel(config, vocab.size)
-        with pytest.raises(ShapeError, match="no matching parameter"):
-            apply_checkpoint(model.params(), {"backbone/liver/layer0/w": np.zeros(3)},
-                             prefix="backbone/")
+        donor = PretrainModel(config, vocab.size, TYPE_NAMES.index("abdomen")).params()
+        arrays = {name: t.data for name, t in donor.items()}
+        params = _encoder_params(VqaModel(config, vocab.size).params())
+        with pytest.raises(ShapeError, match="lacks parameter groups") as info:
+            apply_checkpoint(params, arrays)
+        assert "backbone/head/" in str(info.value) and "backbone/chest/" in str(info.value)
+        assert "backbone/abdomen/" not in str(info.value)
 
 
 class TestFrozenEmbedding:
