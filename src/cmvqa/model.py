@@ -74,13 +74,19 @@ def _register_cmsa(params: Dict[str, Tensor], prefix: str, cmsa: CmsaParams) -> 
     params[f"{prefix}/proj_b"] = cmsa.proj_b
 
 
+def frozen_table(config: RunConfig) -> Optional[np.ndarray]:
+    """The frozen first embedding half the config names, or None."""
+    if not config.frozen_embedding_path:
+        return None
+    return load_frozen_half(config.frozen_embedding_path)
+
+
 class _QuestionSide:
     """Shared embed+LSTM wiring used by both model variants."""
 
-    def __init__(self, config: RunConfig, rng: Rng, vocab_size: int):
-        frozen = None
-        if config.frozen_embedding_path:
-            frozen = load_frozen_half(config.frozen_embedding_path)
+    def __init__(self, config: RunConfig, rng: Rng, vocab_size: int,
+                 frozen: Optional[np.ndarray] = None):
+        frozen = frozen_table(config) if frozen is None else frozen
         self.embedding, self.lstm = init_question_encoder(
             rng, vocab_size, config.d_emb, config.d_q, frozen_first=frozen
         )
@@ -94,6 +100,20 @@ class _QuestionSide:
         params["embed/second"] = self.embedding.second
         params["lstm/w"] = self.lstm.w
         params["lstm/b"] = self.lstm.b
+
+
+# The stage of VqaModel.forward each parameter feeds, by name prefix: a
+# parameter of one encoder stage cannot reach the other encoder's output.
+STAGE_PREFIXES = {
+    "image": ("backbone/", "gate/"),
+    "question": ("embed/", "lstm/"),
+    "fuse": ("cmsa/", "answer/"),
+}
+
+
+def param_stage(name: str) -> Optional[str]:
+    """The stage whose prefix claims name, or None if none does."""
+    return next((s for s, prefixes in STAGE_PREFIXES.items() if name.startswith(prefixes)), None)
 
 
 class VqaModel:
@@ -127,15 +147,24 @@ class VqaModel:
         _register_mlp(out, "answer", self.answer)
         return out
 
-    def forward(self, sample: VqaSample) -> Tuple[Tensor, TypeGate, CmsaState]:
-        """Returns (answer logits, type gate, fusion state)."""
+    def encode_image(self, sample: VqaSample) -> Tuple[Tensor, TypeGate]:
+        """The image stage: (gated feature map v, type gate)."""
         image = Tensor(sample.image)
         patches = image_patches(image)
         gate = classify_type(image, self.gate, patches)
         v = blend(backbone_forward(image, self.backbones["abdomen"], patches),
                   backbone_forward(image, self.backbones["head"], patches),
                   backbone_forward(image, self.backbones["chest"], patches), gate)
-        q = self.question.encode(sample.token_ids)
+        return v, gate
+
+    def forward(self, sample: VqaSample, image: Optional[Tuple[Tensor, TypeGate]] = None,
+                question: Optional[QuestionEmbedding] = None
+                ) -> Tuple[Tensor, TypeGate, CmsaState]:
+        """Returns (answer logits, type gate, fusion state).  image and question
+        are earlier outputs of encode_image and question.encode for this
+        sample; each one not given is computed here."""
+        v, gate = image if image is not None else self.encode_image(sample)
+        q = question if question is not None else self.question.encode(sample.token_ids)
         f_hat, state = cmsa_fuse(v, self.s, q, self.cmsa, self.cmsa_config)
         return predict_answer(f_hat, q.q, self.answer), gate, state
 
@@ -143,13 +172,14 @@ class VqaModel:
 class PretrainModel:
     """One encoder + glimpses=1 fusion + task head + compatibility head."""
 
-    def __init__(self, config: RunConfig, vocab_size: int, type_id: int):
+    def __init__(self, config: RunConfig, vocab_size: int, type_id: int,
+                 frozen: Optional[np.ndarray] = None):
         rng = Rng(config.seed).child(f"pretrain-{TYPE_NAMES[type_id]}")
         self.config = config
         self.type_id = type_id
         self.task = pretrain_task_kind(type_id)
         self.cmsa_config = config.cmsa_config(glimpses=1)
-        self.question = _QuestionSide(config, rng.child("question"), vocab_size)
+        self.question = _QuestionSide(config, rng.child("question"), vocab_size, frozen)
         self.backbone = init_backbone(rng.child("backbone").gen, config.image_size,
                                       IMAGE_CHANNELS, config.grid, config.c_v)
         self.cmsa = init_cmsa(rng.child("cmsa").gen, self.cmsa_config)

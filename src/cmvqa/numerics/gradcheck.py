@@ -10,6 +10,13 @@ the central difference but not the one-sided ones: a coordinate that misses
 tol passes "at a kink" when its two one-sided differences disagree by more
 than tol and the analytic gradient matches one of them.  f at the point itself
 comes from the analytic pass, so this costs no extra objective call.
+
+The optional on_param hook tells f which parameter the next probes nudge.
+The model-level check (train.run_gradcheck) uses it so that probes
+recompute only the stage of VqaModel.forward the nudged parameter feeds.
+The forward is deterministic, so the report is unchanged; at
+configs/gradcheck.cfg, one BLAS thread, the check's wall time went from
+5.11 to 2.85 s (bench gradcheck_s, medians of ten alternating pairs).
 """
 
 from __future__ import annotations
@@ -67,12 +74,15 @@ def grad_check(
     params: dict[str, Tensor],
     h: float = 1e-5,
     tol: float = 1e-4,
+    on_param: Callable[[str], None] | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of scalar f() against central differences.
 
     f must rebuild its forward pass on every call and read the current
     parameter values.  A coordinate whose central difference misses tol is
     compared with both one-sided differences, as the module docstring says.
+    on_param(name), if given, runs after the analytic pass and before the
+    first probe of each parameter, in dict order.
     """
     for p in params.values():
         p.zero_grad()
@@ -86,6 +96,8 @@ def grad_check(
 
     checks: list[ParamCheck] = []
     for name, p in params.items():
+        if on_param is not None:
+            on_param(name)
         a = analytic[name]
         flat = p.data.reshape(-1)
         worst = -1.0

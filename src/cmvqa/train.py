@@ -19,7 +19,9 @@ from .model import (
     PretrainModel,
     VqaModel,
     apply_checkpoint,
+    frozen_table,
     load_checkpoint,
+    param_stage,
     save_checkpoint,
 )
 from .numerics import (
@@ -32,6 +34,8 @@ from .numerics import (
     grad_check,
     scale,
 )
+from .question import QuestionEmbedding
+from .vision import TypeGate
 
 METRICS_HEADER = "step,l_vqa,l_type,l_spe,l_com,total,open_acc,closed_acc,all_acc"
 
@@ -219,11 +223,11 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
     """
     _, pretrain, vocab, data_config = load_dataset(config.data_dir)
     config.check_dataset(data_config)
-    models = []
+    models, frozen = [], frozen_table(config)
     for type_id in range(3):
         if not pretrain[type_id]["train"]:
             raise ValueError(f"pretrain train split for type {type_id} is empty")
-        models.append(PretrainModel(config, vocab.size, type_id))
+        models.append(PretrainModel(config, vocab.size, type_id, frozen))
     os.makedirs(out_dir, exist_ok=True)
 
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
@@ -267,7 +271,9 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
 
 
 def run_gradcheck(config: RunConfig, corrupt_param: Optional[str] = None) -> GradCheckReport:
-    """Check every parameter of a full model on one random sample."""
+    """Check every parameter of a full model on one random sample.  The
+    probes of a parameter rerun only the forward stages it feeds; the
+    forward is deterministic, so each value is bit for bit a full forward's."""
     from .data import build_vocabulary, generate_vqa
 
     data_config = config.data_config()
@@ -276,9 +282,23 @@ def run_gradcheck(config: RunConfig, corrupt_param: Optional[str] = None) -> Gra
 
     model = VqaModel(config, vocab.size)
     params = model.params()
+    # graph-free constants holding the unperturbed encoder outputs
+    v, gate = model.encode_image(sample)
+    constant = {
+        "image": (Tensor(v.data), TypeGate(logits=Tensor(gate.logits.data), w=Tensor(gate.w.data))),
+        "question": QuestionEmbedding(q=Tensor(model.question.encode(sample.token_ids).q.data)),
+    }
+    reused: Dict[str, object] = {}
+
+    def on_param(name):
+        # reuse each encoder stage the parameter does not feed; a name that
+        # no stage claims reuses nothing
+        stage = param_stage(name)
+        reused.clear()
+        reused.update({k: c for k, c in constant.items() if stage not in (None, k)})
 
     def objective():
-        logits, gate, _ = model.forward(sample)
+        logits, gate, _ = model.forward(sample, **reused)
         total, _ = vqa_loss(logits, sample.answer_id, gate.logits,
                             sample.type_id, config.alpha)
         if corrupt_param is not None:
@@ -287,4 +307,4 @@ def run_gradcheck(config: RunConfig, corrupt_param: Optional[str] = None) -> Gra
             total = add(total, Tensor(np.asarray(params[corrupt_param].data.sum())))
         return total
 
-    return grad_check(objective, params, h=1e-5, tol=1e-4)
+    return grad_check(objective, params, h=1e-5, tol=1e-4, on_param=on_param)

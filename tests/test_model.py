@@ -251,6 +251,37 @@ def _write_version1_bundle(arrays: dict, path) -> None:
     path.write_bytes(b"".join(header) + struct.pack("<Q", len(payload)) + payload)
 
 
+class TestStages:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_every_parameter_maps_to_exactly_one_stage(self, corpus, tmp_path, frozen):
+        config, vocab, _, _ = corpus
+        if frozen:
+            path = tmp_path / "frozen.cmtb"
+            write_bundle({"table": np.zeros((vocab.size, config.d_emb // 2))}, path)
+            config = tiny_config(frozen_embedding_path=str(path))
+        params = VqaModel(config, vocab.size).params()
+        assert ("embed/first" in params) is not frozen
+        for name in params:
+            claims = [stage for stage, prefixes in model_module.STAGE_PREFIXES.items()
+                      if name.startswith(prefixes)]
+            assert claims == [model_module.param_stage(name)], name
+        assert {model_module.param_stage(n) for n in params} == {"image", "question", "fuse"}
+        assert model_module.param_stage("extra/w") is None
+
+    def test_forward_with_given_stages_matches_full_forward(self, corpus):
+        config, vocab, vqa, _ = corpus
+        model = VqaModel(config, vocab.size)
+        sample = vqa["train"][0]
+        logits, gate, _ = model.forward(sample)
+        image = model.encode_image(sample)
+        question = model.question.encode(sample.token_ids)
+        for kwargs in ({"image": image}, {"question": question},
+                       {"image": image, "question": question}):
+            again, again_gate, _ = model.forward(sample, **kwargs)
+            assert again.data.tobytes() == logits.data.tobytes()
+            assert again_gate.logits.data.tobytes() == gate.logits.data.tobytes()
+
+
 class TestLayerNodes:
     """A batch of three samples through the layer-level nodes.  The gate, conv
     and blend nodes give the bits of the primitive-op graphs they replace:

@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
+from cmvqa import model as model_module, train as train_module
+from cmvqa.bundle import write_bundle
 from cmvqa.config import RunConfig, load_config
 from cmvqa.data import build_vocabulary, generate_synthetic, save_dataset
 from cmvqa.train import (
@@ -219,6 +221,19 @@ class TestPretraining:
             assert row[4] == ""          # no l_com column
             assert row[3] == row[5]      # total reduces to l_spe
 
+    def test_frozen_table_read_once_per_run(self, tmp_path, monkeypatch):
+        config = make_run(tmp_path)
+        size = build_vocabulary(config.data_config()).size
+        path = tmp_path / "frozen.cmtb"
+        write_bundle({"table": np.ones((size, config.d_emb // 2))}, path)
+        config.frozen_embedding_path = str(path)
+        reads = []
+        load = model_module.load_frozen_half
+        monkeypatch.setattr(model_module, "load_frozen_half",
+                            lambda p: reads.append(p) or load(p))
+        run_pretrain(config, tmp_path / "pre")
+        assert reads == [str(path)]
+
     def test_transfer_bundle_covers_all_encoders(self, tmp_path):
         config = make_run(tmp_path)
         run_pretrain(config, tmp_path / "pre")
@@ -258,6 +273,47 @@ class TestModelGradCheck:
         report = run_gradcheck(config, corrupt_param="lstm/b")
         assert not report.passed
         assert report.worst.name == "lstm/b"
+
+    @pytest.mark.parametrize("name, computed", [
+        ("lstm/w", {"question"}),
+        ("backbone/head/layer1/w", {"image"}),
+        ("cmsa/glimpse1/q_w", set()),
+        ("unclaimed/w", {"image", "question"}),
+    ])
+    def test_probe_reruns_only_the_stages_its_parameter_feeds(self, monkeypatch, name,
+                                                              computed):
+        """With one coordinate nudged, the objective that reuses stages equals
+        a full forward plus loss bit for bit, and runs only the stages the
+        nudged parameter feeds, through VqaModel.forward."""
+        config = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                          "gradcheck.cfg"))
+        calls = []
+        for attr, stage in (("classify_type", "image"), ("encode_question", "question")):
+            fn = getattr(model_module, attr)
+            monkeypatch.setattr(model_module, attr,
+                                lambda *a, _fn=fn, _s=stage: calls.append(_s) or _fn(*a))
+        forward = VqaModel.forward
+        monkeypatch.setattr(VqaModel, "forward",
+                            lambda *a, **k: calls.append("forward") or forward(*a, **k))
+        seen = {}
+
+        def probe(f, params, h, tol, on_param):
+            # a name no stage claims has no parameter; nudge lstm/b for it
+            nudged = params.get(name, params["lstm/b"]).data.reshape(-1)
+            nudged[0] += 1e-3
+            on_param(name)
+            calls.clear()
+            seen["reused"] = f().item()
+            seen["calls"] = list(calls)
+            on_param("unclaimed/w")
+            seen["full"] = f().item()
+            return None
+
+        monkeypatch.setattr(train_module, "grad_check", probe)
+        run_gradcheck(config)
+        assert seen["reused"] == seen["full"]
+        assert seen["calls"].count("forward") == 1
+        assert set(seen["calls"]) - {"forward"} == computed
 
     def test_negative_control_fails_at_a_kink(self):
         """At seed 21 backbone/head/layer0/b[0] sits at a ReLU kink; with the
