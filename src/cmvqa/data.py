@@ -5,7 +5,8 @@ Type is easy (a linear probe on raw pixels suffices); the answer requires
 reading the shape at the grid cell the question names, so the model must
 actually fuse words, pixels, and positions.  Pre-training corpora are
 single-type with per-type understanding tasks plus question-compatibility
-pairs.
+pairs.  Each split is a `Split` of float64 columns stacked on a leading
+sample axis, the arrays data.cmtb stores.
 """
 
 from __future__ import annotations
@@ -56,22 +57,25 @@ class DataConfig:
 PRETRAIN_SPLITS = {"train": 0.85, "val": 0.15}
 
 
-@dataclass
-class VqaSample:
-    image: np.ndarray          # (H, W, 1)
-    token_ids: List[int]
-    answer_id: int
-    type_id: int
-    question_kind: str         # "open" | "closed"
+VQA_COLUMNS = ("image", "tokens", "answer", "type", "open")
+PRETRAIN_COLUMNS = ("image", "tokens", "target", "compat")
 
 
-@dataclass
-class PretrainSample:
-    image: np.ndarray
-    type_id: int
-    task_target: object        # class id (int) or (H, W) mask
-    paired_token_ids: List[int]
-    compat_label: int
+class Split:
+    """One split: each attribute a float64 column named after its data.cmtb
+    entry and stacked on a leading sample axis; ids are stored as floats."""
+
+    def __init__(self, **columns: np.ndarray):
+        vars(self).update(columns)
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+
+def _stack(rows: List[tuple], idx: List[int], names: Sequence[str]) -> Split:
+    """The split of rows[idx], each row's fields in the order of names."""
+    return Split(**{name: np.array([rows[i][k] for i in idx], np.float64)
+                    for k, name in enumerate(names)})
 
 
 def build_vocabulary(config: DataConfig) -> Vocabulary:
@@ -178,10 +182,10 @@ def split_indices(n: int, fractions: Dict[str, float]) -> Dict[str, List[int]]:
 
 
 def generate_vqa(seed: int, n: int, config: DataConfig,
-                 vocab: Vocabulary) -> Dict[str, List[VqaSample]]:
+                 vocab: Vocabulary) -> Dict[str, Split]:
     """n samples split train/val/test; alternating open/closed questions."""
     gen = Rng(seed).child("vqa").gen
-    samples = []
+    rows = []
     g = config.grid
     for i in range(n):
         type_id = int(gen.integers(0, 3))
@@ -191,7 +195,6 @@ def generate_vqa(seed: int, n: int, config: DataConfig,
         if i % 2 == 0:
             tokens = open_question(type_id, cell)
             answer = 2 + shape_id
-            kind = "open"
         else:
             if gen.random() < 0.5:
                 asked = shape_id
@@ -200,14 +203,10 @@ def generate_vqa(seed: int, n: int, config: DataConfig,
                 asked = int((shape_id + 1 + gen.integers(0, 2)) % 3)
                 answer = 1  # no
             tokens = closed_question(asked, type_id, cell)
-            kind = "closed"
-        samples.append(
-            VqaSample(image=image, token_ids=tokenize_pad(tokens, vocab, config.l_w),
-                      answer_id=answer, type_id=type_id, question_kind=kind)
-        )
+        rows.append((image, tokenize_pad(tokens, vocab, config.l_w), answer, type_id, i % 2 == 0))
 
     splits = split_indices(n, config.vqa_fractions())
-    return {name: [samples[i] for i in idx] for name, idx in splits.items()}
+    return {name: _stack(rows, idx, VQA_COLUMNS) for name, idx in splits.items()}
 
 
 def question_pool(config: DataConfig, vocab: Vocabulary):
@@ -226,7 +225,7 @@ def question_pool(config: DataConfig, vocab: Vocabulary):
 
 
 def compatibility_sampler(type_id: int, pool) -> Callable[..., Tuple[List[int], int]]:
-    """draw(gen) -> (token_ids, compat_label): a question for an image of type_id,
+    """draw(gen) -> (token ids, compat label): a question for an image of type_id,
     rebalanced to ~50% positive labels.  The pool is partitioned here, once."""
     if not pool:
         raise ValueError("question pool is empty")
@@ -254,7 +253,7 @@ def pretrain_task_classes(type_id: int) -> int:
 
 
 def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
-                      vocab: Vocabulary) -> Dict[int, Dict[str, List[PretrainSample]]]:
+                      vocab: Vocabulary) -> Dict[int, Dict[str, Split]]:
     """Single-type corpora: segmentation for type 0, classification for 1 and 2."""
     pool = question_pool(config, vocab)
     out = {}
@@ -262,7 +261,7 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
     for type_id in range(3):
         gen = Rng(seed).child(f"pretrain{type_id}").gen
         draw_pair = compatibility_sampler(type_id, pool)
-        samples = []
+        rows = []
         for _ in range(n_per_type):
             shape_id = int(gen.integers(0, 3))
             cell = (int(gen.integers(0, g)), int(gen.integers(0, g)))
@@ -273,13 +272,11 @@ def generate_pretrain(seed: int, n_per_type: int, config: DataConfig,
                 target = shape_id                   # which shape
             else:
                 target = int(shape_id == 2)         # contains a cross?
-            ids, label = draw_pair(gen)
-            samples.append(
-                PretrainSample(image=image, type_id=type_id, task_target=target,
-                               paired_token_ids=ids, compat_label=label)
-            )
+            ids, compat = draw_pair(gen)
+            rows.append((image, ids, target, compat))
         splits = split_indices(n_per_type, PRETRAIN_SPLITS)
-        out[type_id] = {name: [samples[i] for i in idx] for name, idx in splits.items()}
+        out[type_id] = {name: _stack(rows, idx, PRETRAIN_COLUMNS)
+                        for name, idx in splits.items()}
     return out
 
 
@@ -295,8 +292,7 @@ def generate_synthetic(seed: int, counts: Dict[str, int], config: DataConfig):
 
 
 def save_dataset(vqa, pretrain, vocab: Vocabulary, config: DataConfig, out_dir) -> None:
-    """Write out_dir/data.cmtb, one bundle of float64 entries stacked on a
-    leading sample axis:
+    """Write out_dir/data.cmtb, one bundle holding each split's columns:
 
         vqa/<split>/{image, tokens, answer, type, open}
         pretrain/<type name>/<split>/{image, tokens, target, compat}
@@ -307,28 +303,18 @@ def save_dataset(vqa, pretrain, vocab: Vocabulary, config: DataConfig, out_dir) 
     is not stored: it follows from the settings (build_vocabulary).
     """
     os.makedirs(out_dir, exist_ok=True)
-    tensors = {}
-    for split, samples in vqa.items():
-        columns = {"image": [s.image for s in samples],
-                   "tokens": [s.token_ids for s in samples],
-                   "answer": [s.answer_id for s in samples],
-                   "type": [s.type_id for s in samples],
-                   "open": [s.question_kind == "open" for s in samples]}
-        tensors.update({f"vqa/{split}/{k}": np.array(v, np.float64) for k, v in columns.items()})
-    for type_id in sorted(pretrain):
-        for split, samples in pretrain[type_id].items():
-            columns = {"image": [s.image for s in samples],
-                       "tokens": [s.paired_token_ids for s in samples],
-                       "target": [s.task_target for s in samples],
-                       "compat": [s.compat_label for s in samples]}
-            prefix = f"pretrain/{TYPE_NAMES[type_id]}/{split}"
-            tensors.update({f"{prefix}/{k}": np.array(v, np.float64) for k, v in columns.items()})
+    splits = {f"vqa/{name}": split for name, split in vqa.items()}
+    splits.update({f"pretrain/{TYPE_NAMES[t]}/{name}": split
+                   for t in sorted(pretrain) for name, split in pretrain[t].items()})
+    tensors = {f"{prefix}/{k}": column for prefix, split in splits.items()
+               for k, column in vars(split).items()}
     tensors["__config__"] = np.frombuffer(json.dumps(vars(config)).encode("utf-8"), np.uint8)
     write_bundle(tensors, os.path.join(out_dir, "data.cmtb"))
 
 
 def load_dataset(out_dir):
-    """Inverse of save_dataset: (vqa, pretrain, vocab, config)."""
+    """Inverse of save_dataset: (vqa, pretrain, vocab, config).  Every id
+    column must hold integers below its class count."""
     path = os.path.join(out_dir, "data.cmtb")
     tensors = read_bundle(path)
     regenerate = "regenerate the dataset with cmvqa gen-data"
@@ -346,8 +332,9 @@ def load_dataset(out_dir):
         raise ValueError(f"{path} does not hold this version's data settings "
                          f"({', '.join(diffs)}); {regenerate}")
     config = DataConfig(**saved)
+    vocab = build_vocabulary(config)
 
-    def rows(prefix: str, *keys: str):
+    def split(prefix: str, keys: Sequence[str], **classes: int) -> Split:
         names = [f"{prefix}/{k}" for k in keys]
         for name in names:
             if name not in tensors:
@@ -355,23 +342,19 @@ def load_dataset(out_dir):
         if len({tensors[n].shape[:1] for n in names}) > 1:
             raise ValueError(f"{path} holds different sample counts under {prefix!r}; "
                              + regenerate)
-        return zip(*(tensors[n] for n in names))
+        for key, count in classes.items():
+            ids = tensors[f"{prefix}/{key}"]
+            bad = ids[(ids < 0) | (ids >= count) | (ids != np.floor(ids))]
+            if bad.size:
+                raise ValueError(f"{path} entry '{prefix}/{key}' holds {bad[0]:g}, not an "
+                                 f"id in [0, {count}); {regenerate}")
+        return Split(**{k: tensors[n] for k, n in zip(keys, names)})
 
-    vqa = {split: [VqaSample(image=image, token_ids=[int(t) for t in tokens],
-                             answer_id=int(answer), type_id=int(type_id),
-                             question_kind="open" if is_open else "closed")
-                   for image, tokens, answer, type_id, is_open
-                   in rows(f"vqa/{split}", "image", "tokens", "answer", "type", "open")]
-           for split in config.vqa_fractions()}
-    pretrain = {}
-    for type_id, name in enumerate(TYPE_NAMES):
-        mask = pretrain_task_kind(type_id) == "segmentation"
-        pretrain[type_id] = {
-            split: [PretrainSample(image=image, type_id=type_id,
-                                   task_target=target if mask else int(target),
-                                   paired_token_ids=[int(t) for t in tokens],
-                                   compat_label=int(compat))
-                    for image, tokens, target, compat
-                    in rows(f"pretrain/{name}/{split}", "image", "tokens", "target", "compat")]
-            for split in PRETRAIN_SPLITS}
-    return vqa, pretrain, build_vocabulary(config), config
+    vqa = {name: split(f"vqa/{name}", VQA_COLUMNS, tokens=vocab.size, answer=K_ANSWERS,
+                       type=len(TYPE_NAMES), open=2)
+           for name in config.vqa_fractions()}
+    pretrain = {t: {name: split(f"pretrain/{TYPE_NAMES[t]}/{name}", PRETRAIN_COLUMNS,
+                                tokens=vocab.size, target=pretrain_task_classes(t), compat=2)
+                    for name in PRETRAIN_SPLITS}
+                for t in range(len(TYPE_NAMES))}
+    return vqa, pretrain, vocab, config

@@ -17,8 +17,6 @@ from .data import (
     IMAGE_CHANNELS,
     K_ANSWERS,
     TYPE_NAMES,
-    PretrainSample,
-    VqaSample,
     pretrain_task_classes,
     pretrain_task_kind,
 )
@@ -91,8 +89,8 @@ class _QuestionSide:
             rng, vocab_size, config.d_emb, config.d_q, frozen_first=frozen
         )
 
-    def encode(self, token_ids) -> QuestionEmbedding:
-        return encode_question(embed(token_ids, self.embedding), self.lstm)
+    def encode(self, tokens) -> QuestionEmbedding:
+        return encode_question(embed(tokens, self.embedding), self.lstm)
 
     def register(self, params: Dict[str, Tensor]) -> None:
         if self.embedding.first.requires_grad:
@@ -147,9 +145,9 @@ class VqaModel:
         _register_mlp(out, "answer", self.answer)
         return out
 
-    def encode_image(self, sample: VqaSample) -> Tuple[Tensor, TypeGate]:
+    def encode_image(self, pixels: np.ndarray) -> Tuple[Tensor, TypeGate]:
         """The image stage: (gated feature map v, type gate)."""
-        image = Tensor(sample.image)
+        image = Tensor(pixels)
         patches = image_patches(image)
         gate = classify_type(image, self.gate, patches)
         v = blend(backbone_forward(image, self.backbones["abdomen"], patches),
@@ -157,14 +155,14 @@ class VqaModel:
                   backbone_forward(image, self.backbones["chest"], patches), gate)
         return v, gate
 
-    def forward(self, sample: VqaSample, image: Optional[Tuple[Tensor, TypeGate]] = None,
+    def forward(self, pixels, tokens, image: Optional[Tuple[Tensor, TypeGate]] = None,
                 question: Optional[QuestionEmbedding] = None
                 ) -> Tuple[Tensor, TypeGate, CmsaState]:
         """Returns (answer logits, type gate, fusion state).  image and question
-        are earlier outputs of encode_image and question.encode for this
-        sample; each one not given is computed here."""
-        v, gate = image if image is not None else self.encode_image(sample)
-        q = question if question is not None else self.question.encode(sample.token_ids)
+        are earlier outputs of encode_image and question.encode for these
+        pixels and tokens; each one not given is computed here."""
+        v, gate = image if image is not None else self.encode_image(pixels)
+        q = question if question is not None else self.question.encode(tokens)
         f_hat, state = cmsa_fuse(v, self.s, q, self.cmsa, self.cmsa_config)
         return predict_answer(f_hat, q.q, self.answer), gate, state
 
@@ -199,15 +197,15 @@ class PretrainModel:
         _register_mlp(out, "task", self.task_head)
         return out
 
-    def forward(self, sample: PretrainSample) -> Tuple[Tensor, Optional[Tensor]]:
+    def forward(self, pixels: np.ndarray, tokens) -> Tuple[Tensor, Optional[Tensor]]:
         """Returns (task logits, compatibility logits).  In single pretrain
         mode the question pathway does not run and the second item is None."""
-        features = backbone_forward(Tensor(sample.image), self.backbone)
+        features = backbone_forward(Tensor(pixels), self.backbone)
         task_logits = image_task_head(features, self.task, self.task_head,
                                       self.config.image_size // self.config.grid)
         if self.config.pretrain_mode == "single":
             return task_logits, None
-        q = self.question.encode(sample.paired_token_ids)
+        q = self.question.encode(tokens)
         f_hat, _ = cmsa_fuse(features, self.s, q, self.cmsa, self.cmsa_config)
         return task_logits, compatibility_head(f_hat, q.q, self.compat)
 
@@ -227,11 +225,13 @@ def load_checkpoint(path):
     """Returns (name -> array, step, config text).  The config echo is
     uint8, or float64 per byte in a version 1 bundle."""
     arrays = read_bundle(path)
-    step = int(arrays.pop("__step__")[()]) if "__step__" in arrays else 0
+    step = arrays.pop("__step__", np.array(0.0))
+    if step.shape != ():
+        raise ValueError(f"{path} entry '__step__' has shape {step.shape}, not a scalar")
     text = ""
     if "__config__" in arrays:
         text = arrays.pop("__config__").astype(np.uint8).tobytes().decode("utf-8")
-    return arrays, step, text
+    return arrays, int(step), text
 
 
 def apply_checkpoint(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray]) -> int:

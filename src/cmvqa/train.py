@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .data import TYPE_NAMES, load_dataset
+from .data import TYPE_NAMES, Split, load_dataset
 from .heads import LossReport, pretrain_loss, vqa_loss
 from .model import (
     PretrainModel,
@@ -87,23 +87,22 @@ def _optimize_step(params: Dict[str, Tensor], loss: Tensor, state: OptimState) -
     return state
 
 
-def _fit(params: Dict[str, Tensor], train, rng: Rng, steps: int, batch: int,
+def _fit(params: Dict[str, Tensor], n: int, rng: Rng, steps: int, batch: int,
          config: RunConfig, sample_loss: Callable) -> Iterator[Tuple[int, List[LossReport]]]:
-    """Adam over a fixed batch order; every log_every steps and at the last
-    one, yields (step, the monitor batch's loss reports).
+    """Adam over a fixed batch order of n train samples; every log_every
+    steps and at the last one, yields (step, the monitor batch's loss reports).
 
-    sample_loss(sample, training) returns (loss tensor, LossReport); training
-    is False for the monitor batch.
+    sample_loss(i, training) returns (loss tensor, LossReport) for train
+    sample i; training is False for the monitor batch.
     """
-    batches = _batch_indices(rng.child("batch-order"), len(train), steps, batch)
-    monitor = [train[int(i)] for i in rng.child("monitor").gen.permutation(len(train))[:batch]]
+    batches = _batch_indices(rng.child("batch-order"), n, steps, batch)
+    monitor = rng.child("monitor").gen.permutation(n)[:batch]
     state = OptimState(lr=config.lr)
     for step, idx in enumerate(batches, start=1):
         # built inline so no name holds this step's graphs into the next step
-        state = _optimize_step(
-            params, _mean_loss([sample_loss(train[i], True)[0] for i in idx]), state)
+        state = _optimize_step(params, _mean_loss([sample_loss(i, True)[0] for i in idx]), state)
         if step % config.log_every == 0 or step == steps:
-            yield step, [sample_loss(s, False)[1] for s in monitor]
+            yield step, [sample_loss(i, False)[1] for i in monitor]
 
 
 def _mean(reports: List[LossReport], field: str) -> Optional[float]:
@@ -115,37 +114,33 @@ def _mean(reports: List[LossReport], field: str) -> Optional[float]:
 # -- evaluation ---------------------------------------------------------------------
 
 
-def answer_metrics(pred_ids: List[int], samples) -> Dict[str, float]:
+def _share(hits: np.ndarray) -> float:
+    """The fraction of true entries; 0.0 for none."""
+    return int(hits.sum()) / hits.size if hits.size else 0.0
+
+
+def answer_metrics(preds: np.ndarray, split: Split) -> Dict[str, float]:
     """Open/closed/all accuracy from predicted answer ids."""
-    open_hits = open_n = closed_hits = closed_n = 0
-    for pred, s in zip(pred_ids, samples):
-        hit = int(pred == s.answer_id)
-        if s.question_kind == "open":
-            open_hits += hit
-            open_n += 1
-        else:
-            closed_hits += hit
-            closed_n += 1
-    total = open_n + closed_n
-    return {
-        "open_acc": open_hits / open_n if open_n else 0.0,
-        "closed_acc": closed_hits / closed_n if closed_n else 0.0,
-        "all_acc": (open_hits + closed_hits) / total if total else 0.0,
-    }
+    hits, is_open = np.asarray(preds) == split.answer, split.open == 1
+    return {"open_acc": _share(hits[is_open]), "closed_acc": _share(hits[~is_open]),
+            "all_acc": _share(hits)}
 
 
-def run_eval(model: VqaModel, samples) -> Dict[str, float]:
+def type_acc(preds: np.ndarray, split: Split) -> float:
+    """Accuracy of predicted type ids."""
+    return _share(np.asarray(preds) == split.type)
+
+
+def run_eval(model: VqaModel, split: Split) -> Dict[str, float]:
     """Deterministic forward-only pass over one split."""
-    if not samples:
+    if not split:
         raise ValueError("empty evaluation split")
-    preds, type_hits = [], 0
-    for s in samples:
-        logits, gate, _ = model.forward(s)
-        preds.append(int(np.argmax(logits.data)))
-        type_hits += int(np.argmax(gate.w.data) == s.type_id)
-    metrics = answer_metrics(preds, samples)
-    metrics["type_acc"] = type_hits / len(samples)
-    return metrics
+    preds, types = [], []
+    for pixels, tokens in zip(split.image, split.tokens):
+        logits, gate, _ = model.forward(pixels, tokens)
+        preds.append(np.argmax(logits.data))
+        types.append(np.argmax(gate.w.data))
+    return {**answer_metrics(preds, split), "type_acc": type_acc(types, split)}
 
 
 # -- VQA training ---------------------------------------------------------------------
@@ -169,13 +164,13 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
     os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
 
-    def sample_loss(s, training):
-        logits, gate, st = model.forward(s)
+    def sample_loss(i, training):
+        logits, gate, st = model.forward(train.image[i], train.tokens[i])
         if training and invariant_monitor is not None:
             invariant_monitor(gate, st)
-        return vqa_loss(logits, s.answer_id, gate.logits, s.type_id, config.alpha)
+        return vqa_loss(logits, train.answer[i], gate.logits, train.type[i], config.alpha)
 
-    for step, reports in _fit(params, train, Rng(config.seed), config.steps,
+    for step, reports in _fit(params, len(train), Rng(config.seed), config.steps,
                               config.batch_size, config, sample_loss):
         l_vqa, l_type = _mean(reports, "l_vqa"), _mean(reports, "l_type")
         accuracy = {}
@@ -198,18 +193,19 @@ def _encoders(params: Dict[str, Tensor]) -> Dict[str, Tensor]:
     return {name: t for name, t in params.items() if name.startswith("backbone/")}
 
 
-def _pretrain_val_metrics(model: PretrainModel, samples):
+def _pretrain_val_metrics(model: PretrainModel, split: Split):
     task_hits, task_total, com_hits = 0, 0, []
-    for s in samples:
-        task_logits, com_logits = model.forward(s)
+    for pixels, tokens, target, compat in zip(split.image, split.tokens, split.target,
+                                              split.compat):
+        task_logits, com_logits = model.forward(pixels, tokens)
         if com_logits is not None:
-            com_hits.append(int(np.argmax(com_logits.data) == s.compat_label))
+            com_hits.append(int(np.argmax(com_logits.data) == compat))
         pred = np.argmax(task_logits.data, axis=-1)
-        task_hits += (pred == s.task_target).sum()
+        task_hits += (pred == target).sum()
         task_total += pred.size
     out = {"task_acc": task_hits / task_total}
     if com_hits:
-        out["compat_acc"] = sum(com_hits) / len(samples)
+        out["compat_acc"] = sum(com_hits) / len(split)
     return out
 
 
@@ -237,22 +233,22 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
 
     combined, results, global_step = {}, {}, 0
     for type_id, model in enumerate(models):
-        corpus = pretrain[type_id]
+        train = pretrain[type_id]["train"]
         params = model.params()
 
-        def sample_loss(s, training):
-            task_logits, com_logits = model.forward(s)
-            return pretrain_loss(task_logits, s.task_target, com_logits, s.compat_label)
+        def sample_loss(i, training):
+            task_logits, com_logits = model.forward(train.image[i], train.tokens[i])
+            return pretrain_loss(task_logits, train.target[i], com_logits, train.compat[i])
 
         rng = Rng(config.seed).child(f"pretrain-loop-{type_id}")
-        for step, reports in _fit(params, corpus["train"], rng, config.pretrain_steps,
+        for step, reports in _fit(params, len(train), rng, config.pretrain_steps,
                                   config.pretrain_batch, config, sample_loss):
             l_spe, l_com = _mean(reports, "l_spe"), _mean(reports, "l_com")
             writer.row(global_step + step, l_spe=l_spe, l_com=l_com,
                        total=l_spe if l_com is None else l_spe + l_com)
         global_step += config.pretrain_steps
 
-        metrics = _pretrain_val_metrics(model, corpus["val"])
+        metrics = _pretrain_val_metrics(model, pretrain[type_id]["val"])
         results[TYPE_NAMES[type_id]] = metrics
         with open(acc_path, "a", encoding="utf-8") as fh:
             compat = _fmt(metrics.get("compat_acc"))
@@ -278,15 +274,16 @@ def run_gradcheck(config: RunConfig, corrupt_param: Optional[str] = None) -> Gra
 
     data_config = config.data_config()
     vocab = build_vocabulary(data_config)
-    sample = generate_vqa(config.seed, 4, data_config, vocab)["train"][0]
+    train = generate_vqa(config.seed, 4, data_config, vocab)["train"]
+    pixels, tokens = train.image[0], train.tokens[0]
 
     model = VqaModel(config, vocab.size)
     params = model.params()
     # graph-free constants holding the unperturbed encoder outputs
-    v, gate = model.encode_image(sample)
+    v, gate = model.encode_image(pixels)
     constant = {
         "image": (Tensor(v.data), TypeGate(logits=Tensor(gate.logits.data), w=Tensor(gate.w.data))),
-        "question": QuestionEmbedding(q=Tensor(model.question.encode(sample.token_ids).q.data)),
+        "question": QuestionEmbedding(q=Tensor(model.question.encode(tokens).q.data)),
     }
     reused: Dict[str, object] = {}
 
@@ -298,9 +295,8 @@ def run_gradcheck(config: RunConfig, corrupt_param: Optional[str] = None) -> Gra
         reused.update({k: c for k, c in constant.items() if stage not in (None, k)})
 
     def objective():
-        logits, gate, _ = model.forward(sample, **reused)
-        total, _ = vqa_loss(logits, sample.answer_id, gate.logits,
-                            sample.type_id, config.alpha)
+        logits, gate, _ = model.forward(pixels, tokens, **reused)
+        total, _ = vqa_loss(logits, train.answer[0], gate.logits, train.type[0], config.alpha)
         if corrupt_param is not None:
             # constant term the graph cannot see: finite differences feel it,
             # backward does not, so the named parameter fails its check

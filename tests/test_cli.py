@@ -63,6 +63,13 @@ def _without_chest_layer1_weight(pre, tmp_path):
     return tmp_path / "short.cmtb"
 
 
+def _set_first(name, value):
+    """An edit of a data.cmtb entry dict that sets the first value of name."""
+    def edit(arrays):
+        arrays[name].flat[0] = value
+    return edit
+
+
 def _assert_dataset_rejected(tmp_path, cfg, capsys, named):
     """train, pretrain and eval each exit 2 naming the problem and gen-data,
     print nothing to stdout and create no output directory."""
@@ -229,7 +236,19 @@ class TestErrors:
          "different sample counts under 'vqa/train'"),
         (lambda arrays: arrays.update({"pretrain/chest/val/target": np.array(1.0)}),
          "different sample counts under 'pretrain/chest/val'"),
-    ], ids=["missing", "short", "0-d"])
+        (_set_first("vqa/train/tokens", 999), "entry 'vqa/train/tokens' holds 999, not an id"),
+        (_set_first("vqa/train/tokens", 2.5), "entry 'vqa/train/tokens' holds 2.5, not an id"),
+        (_set_first("vqa/test/answer", 7), "entry 'vqa/test/answer' holds 7, not an id in [0, 5)"),
+        (_set_first("vqa/val/type", -1), "entry 'vqa/val/type' holds -1, not an id in [0, 3)"),
+        (_set_first("vqa/train/open", 2), "entry 'vqa/train/open' holds 2, not an id in [0, 2)"),
+        (_set_first("pretrain/head/train/target", 3),
+         "entry 'pretrain/head/train/target' holds 3, not an id in [0, 3)"),
+        (_set_first("pretrain/abdomen/val/target", 0.5),
+         "entry 'pretrain/abdomen/val/target' holds 0.5, not an id in [0, 2)"),
+        (_set_first("pretrain/chest/train/compat", 1.5),
+         "entry 'pretrain/chest/train/compat' holds 1.5, not an id in [0, 2)"),
+    ], ids=["missing", "short", "0-d", "token-999", "token-2.5", "answer-7", "type-negative",
+            "open-2", "class-3", "mask-half", "compat-1.5"])
     def test_dataset_with_a_bad_entry_rejected_before_output(self, workspace, tmp_path, capsys,
                                                              edit, named):
         root, _ = workspace
@@ -341,6 +360,24 @@ class TestErrors:
             assert main([command, "--config", str(cfg), *flags]) == 2
             captured = capsys.readouterr()
             assert "'backbone/abdomen/layer0/w' holds non-finite values" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
+    def test_checkpoint_step_that_is_not_a_scalar_rejected_before_output(
+            self, workspace, pretrained, tmp_path, capsys):
+        """eval and train --init exit 2 naming __step__, and write no output."""
+        _, cfg = workspace
+        arrays = read_bundle(pretrained / "pretrain_all.cmtb")
+        arrays["__step__"] = np.array([3.0, 3.0])
+        bad = tmp_path / "bad.cmtb"
+        write_bundle(arrays, bad)
+        capsys.readouterr()
+        for command in ("eval", "train"):
+            out = tmp_path / command
+            flags = ["--init", str(bad)] + (["--out", str(out)] if command == "train" else [])
+            assert main([command, "--config", str(cfg), *flags]) == 2
+            captured = capsys.readouterr()
+            assert "entry '__step__' has shape (2,), not a scalar" in captured.err
             assert captured.out == ""
             assert not out.exists()
 

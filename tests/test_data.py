@@ -14,6 +14,9 @@ from cmvqa.data import (
     ANSWERS,
     DataConfig,
     K_ANSWERS,
+    PRETRAIN_COLUMNS,
+    TYPE_NAMES,
+    VQA_COLUMNS,
     build_vocabulary,
     compatible_types,
     closed_question,
@@ -41,8 +44,19 @@ def vocab(config):
     return build_vocabulary(config)
 
 
-def flatten(splits):
-    return [s for split in splits.values() for s in split]
+def flatten(splits, column):
+    """One column of every split, stacked in split order."""
+    return np.concatenate([getattr(split, column) for split in splits.values()])
+
+
+def assert_same_columns(a, b):
+    """Splits a and b hold equal columns of the same names, dtype and shape."""
+    assert list(vars(a)) == list(vars(b))
+    assert len(a) == len(b)
+    for name, column in vars(a).items():
+        other = getattr(b, name)
+        assert (column.dtype, column.shape) == (other.dtype, other.shape), name
+        assert column.tobytes() == other.tobytes(), name
 
 
 class TestDeterminism:
@@ -50,28 +64,19 @@ class TestDeterminism:
         a = generate_vqa(5, 40, config, vocab)
         b = generate_vqa(5, 40, config, vocab)
         for split in a:
-            assert len(a[split]) == len(b[split])
-            for x, y in zip(a[split], b[split]):
-                assert np.array_equal(x.image, y.image)
-                assert x.token_ids == y.token_ids
-                assert x.answer_id == y.answer_id
+            assert_same_columns(a[split], b[split])
 
     def test_different_seed_differs(self, config, vocab):
         a = generate_vqa(5, 40, config, vocab)
         b = generate_vqa(6, 40, config, vocab)
-        assert any(
-            not np.array_equal(x.image, y.image)
-            for x, y in zip(flatten(a), flatten(b))
-        )
+        assert not np.array_equal(flatten(a, "image"), flatten(b, "image"))
 
     def test_pretrain_deterministic(self, config, vocab):
         a = generate_pretrain(7, 20, config, vocab)
         b = generate_pretrain(7, 20, config, vocab)
         for t in a:
             for split in a[t]:
-                for x, y in zip(a[t][split], b[t][split]):
-                    assert np.array_equal(x.image, y.image)
-                    assert x.compat_label == y.compat_label
+                assert_same_columns(a[t][split], b[t][split])
 
 
 class TestTypeRecoverability:
@@ -79,10 +84,8 @@ class TestTypeRecoverability:
         """Least-squares one-vs-rest probe on raw pixels must separate types."""
         splits = generate_vqa(11, 300, config, vocab)
         train, test = splits["train"], splits["test"]
-        x_tr = np.stack([s.image.ravel() for s in train])
-        x_te = np.stack([s.image.ravel() for s in test])
-        y_tr = np.array([s.type_id for s in train])
-        y_te = np.array([s.type_id for s in test])
+        x_tr, x_te = train.image.reshape(len(train), -1), test.image.reshape(len(test), -1)
+        y_tr, y_te = train.type.astype(int), test.type
         onehot = np.eye(3)[y_tr]
         design = np.hstack([x_tr, np.ones((len(x_tr), 1))])
         coef, *_ = np.linalg.lstsq(design, onehot, rcond=None)
@@ -94,43 +97,46 @@ class TestQuestionOnlyCeiling:
     def test_majority_predictor_at_most_60_percent(self, config, vocab):
         """Per-template majority vote from train transfers poorly to test."""
         splits = generate_vqa(13, 600, config, vocab)
+        train, test = splits["train"], splits["test"]
         table = defaultdict(Counter)
-        for s in splits["train"]:
-            table[tuple(s.token_ids)][s.answer_id] += 1
-        overall = Counter(s.answer_id for s in splits["train"])
-        default = overall.most_common(1)[0][0]
+        for tokens, answer in zip(train.tokens, train.answer):
+            table[tuple(tokens)][answer] += 1
+        default = Counter(train.answer).most_common(1)[0][0]
         hits = 0
-        for s in splits["test"]:
-            counts = table.get(tuple(s.token_ids))
+        for tokens, answer in zip(test.tokens, test.answer):
+            counts = table.get(tuple(tokens))
             guess = counts.most_common(1)[0][0] if counts else default
-            hits += guess == s.answer_id
-        assert hits / len(splits["test"]) <= 0.60
+            hits += guess == answer
+        assert hits / len(test) <= 0.60
 
 
 class TestAnswersAndKinds:
     def test_answer_ids_in_range(self, config, vocab):
-        for s in flatten(generate_vqa(3, 60, config, vocab)):
-            assert 0 <= s.answer_id < K_ANSWERS
-            assert s.type_id in (0, 1, 2)
-            assert s.question_kind in ("open", "closed")
+        splits = generate_vqa(3, 60, config, vocab)
+        assert set(flatten(splits, "answer")) <= set(range(K_ANSWERS))
+        assert set(flatten(splits, "type")) <= {0, 1, 2}
+        assert set(flatten(splits, "open")) <= {0, 1}
 
     def test_open_answers_are_shapes_closed_are_yes_no(self, config, vocab):
-        for s in flatten(generate_vqa(3, 100, config, vocab)):
-            if s.question_kind == "open":
-                assert ANSWERS[s.answer_id] in ("square", "circle", "cross")
+        splits = generate_vqa(3, 100, config, vocab)
+        for answer, is_open in zip(flatten(splits, "answer"), flatten(splits, "open")):
+            if is_open:
+                assert ANSWERS[int(answer)] in ("square", "circle", "cross")
             else:
-                assert ANSWERS[s.answer_id] in ("yes", "no")
+                assert ANSWERS[int(answer)] in ("yes", "no")
 
     def test_closed_yes_answers_match_drawn_shape(self, config, vocab):
         """On 'yes' samples, the asked shape's pixels must be bright."""
-        for s in flatten(generate_vqa(21, 80, config, vocab)):
-            if s.question_kind != "closed" or s.answer_id != 0:
+        splits = generate_vqa(21, 80, config, vocab)
+        columns = [flatten(splits, c) for c in ("image", "tokens", "answer", "open")]
+        for image, ids, answer, is_open in zip(*columns):
+            if is_open or answer != 0:
                 continue
-            tokens = [vocab.token_of(t) for t in s.token_ids if t != 0]
+            tokens = [vocab.token_of(int(t)) for t in ids if t != 0]
             cell = (int(tokens[4][1:]), int(tokens[5][1:]))
             cs = config.image_size // config.grid
-            patch = s.image[cell[0] * cs : (cell[0] + 1) * cs,
-                            cell[1] * cs : (cell[1] + 1) * cs, 0]
+            patch = image[cell[0] * cs : (cell[0] + 1) * cs,
+                          cell[1] * cs : (cell[1] + 1) * cs, 0]
             assert patch.max() > config.shape_gain * 0.8
 
 
@@ -190,27 +196,29 @@ class TestPretrainCorpora:
     def test_task_targets_by_type(self, config, vocab):
         corpora = generate_pretrain(9, 20, config, vocab)
         assert pretrain_task_kind(0) == "segmentation"
-        for s in corpora[0]["train"]:
-            assert isinstance(s.task_target, np.ndarray)
-            assert s.task_target.shape == (config.image_size, config.image_size)
-            assert set(np.unique(s.task_target)) <= {0.0, 1.0}
-        for s in corpora[1]["train"]:
-            assert s.task_target in (0, 1, 2)
-        for s in corpora[2]["train"]:
-            assert s.task_target in (0, 1)
+        train = corpora[0]["train"]
+        assert train.target.shape == (len(train), config.image_size, config.image_size)
+        assert set(np.unique(train.target)) <= {0.0, 1.0}
+        assert corpora[1]["train"].target.shape == (len(corpora[1]["train"]),)
+        assert set(corpora[1]["train"].target) <= {0, 1, 2}
+        assert set(corpora[2]["train"].target) <= {0, 1}
 
     def test_single_type_per_corpus(self, config, vocab):
+        """Every image of corpus t lies nearest to type t's background texture."""
         corpora = generate_pretrain(9, 20, config, vocab)
+        textures = data_module._textures(config.image_size)
         for type_id in corpora:
-            for s in corpora[type_id]["train"] + corpora[type_id]["val"]:
-                assert s.type_id == type_id
+            for split in corpora[type_id].values():
+                images = split.image[:, None, :, :, 0]
+                nearest = ((images - textures) ** 2).sum(axis=(2, 3)).argmin(axis=1)
+                assert (nearest == type_id).all()
 
     def test_drawing_tables_cannot_leak(self, config, vocab):
-        """The cached textures and shape masks are read-only, no image shares
-        memory with a table or another image, and each mask target is its own."""
-        vqa = flatten(generate_vqa(3, 30, config, vocab))
+        """The cached textures and shape masks are read-only, and no split
+        column shares memory with a table or with another column."""
+        vqa = generate_vqa(3, 30, config, vocab)
         pretrain = generate_pretrain(3, 12, config, vocab)
-        samples = vqa + [s for t in pretrain for s in flatten(pretrain[t])]
+        splits = list(vqa.values()) + [s for t in pretrain for s in pretrain[t].values()]
         cell = config.image_size // config.grid
         tables = [data_module._textures(config.image_size)]
         tables += [data_module._shape_mask(shape, cell) for shape in range(3)]
@@ -218,8 +226,7 @@ class TestPretrainCorpora:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1
-        arrays = [s.image for s in samples]
-        arrays += [s.task_target for s in flatten(pretrain[0])]
+        arrays = [column for split in splits for column in vars(split).values()]
         for i, a in enumerate(arrays):
             assert a.flags.writeable
             assert not any(np.shares_memory(a, table) for table in tables)
@@ -239,7 +246,7 @@ class TestOnDiskLayout:
     def test_save_load_roundtrip(self, tmp_path):
         config = DataConfig(val_frac=0.0)
         vqa, pretrain, vocab = generate_synthetic(17, {"vqa": 40, "pretrain": 12}, config)
-        assert vqa["val"] == []
+        assert len(vqa["val"]) == 0
         save_dataset(vqa, pretrain, vocab, config, tmp_path / "ds")
         vqa2, pretrain2, vocab2, config2 = load_dataset(tmp_path / "ds")
 
@@ -249,27 +256,30 @@ class TestOnDiskLayout:
             [want.token_of(i) for i in range(want.size)]
         assert vqa2.keys() == vqa.keys()
         for split in vqa:
-            assert len(vqa2[split]) == len(vqa[split])
-            for a, b in zip(vqa[split], vqa2[split]):
-                assert a.image.tobytes() == b.image.tobytes() and a.image.shape == b.image.shape
-                assert a.token_ids == b.token_ids
-                assert (a.answer_id, a.type_id, a.question_kind) == \
-                    (b.answer_id, b.type_id, b.question_kind)
+            assert_same_columns(vqa[split], vqa2[split])
         assert pretrain2.keys() == pretrain.keys()
         for t in pretrain:
             assert pretrain2[t].keys() == pretrain[t].keys()
             for split in pretrain[t]:
-                assert len(pretrain2[t][split]) == len(pretrain[t][split])
-                for a, b in zip(pretrain[t][split], pretrain2[t][split]):
-                    assert a.image.tobytes() == b.image.tobytes() and a.image.shape == b.image.shape
-                    assert a.type_id == b.type_id == t
-                    assert a.paired_token_ids == b.paired_token_ids
-                    assert a.compat_label == b.compat_label
-                    if isinstance(a.task_target, np.ndarray):
-                        assert a.task_target.tobytes() == b.task_target.tobytes()
-                        assert a.task_target.shape == b.task_target.shape
-                    else:
-                        assert type(b.task_target) is int and a.task_target == b.task_target
+                assert_same_columns(pretrain[t][split], pretrain2[t][split])
+
+    def test_desk_splits_load_as_generated(self, tmp_path):
+        """For the desk data settings, every split load_dataset returns equals
+        the generated one column for column, with the columns data.cmtb names."""
+        desk = load_config(Path(__file__).parents[1] / "configs" / "desk.cfg")
+        config = desk.data_config()
+        vqa, pretrain, vocab = generate_synthetic(
+            desk.seed, {"vqa": desk.n_vqa, "pretrain": desk.n_pretrain}, config)
+        save_dataset(vqa, pretrain, vocab, config, tmp_path / "ds")
+        vqa2, pretrain2, _, _ = load_dataset(tmp_path / "ds")
+        pairs = [(vqa[s], vqa2[s], VQA_COLUMNS) for s in vqa]
+        pairs += [(pretrain[t][s], pretrain2[t][s], PRETRAIN_COLUMNS)
+                  for t in range(len(TYPE_NAMES)) for s in pretrain[t]]
+        assert len(pairs) == 9
+        for generated, loaded, columns in pairs:
+            assert tuple(vars(loaded)) == columns
+            assert_same_columns(generated, loaded)
+            assert all(c.dtype == np.float64 for c in vars(loaded).values())
 
     def test_desk_corpus_bytes_are_pinned(self, tmp_path):
         """data.cmtb for the desk data settings, seed 0: any change to the

@@ -43,6 +43,11 @@ def _record_ops(monkeypatch) -> list:
     return built
 
 
+def inputs(split, i=0):
+    """Sample i's (pixels, tokens), the inputs both model forwards take."""
+    return split.image[i], split.tokens[i]
+
+
 def tiny_config(**overrides) -> RunConfig:
     merged = {**TINY, **overrides}
     return RunConfig(**merged)
@@ -128,21 +133,19 @@ class TestForward:
     def test_vqa_forward_shapes(self, corpus):
         config, vocab, vqa, _ = corpus
         model = VqaModel(config, vocab.size)
-        logits, gate, state = model.forward(vqa["train"][0])
+        logits, gate, state = model.forward(*inputs(vqa["train"]))
         assert logits.shape == (5,)
         assert gate.w.shape == (3,)
         assert state.f_hat.shape == (config.l_w, config.d_q)
 
     def test_pretrain_forward_shapes(self, corpus):
         config, vocab, _, pretrain = corpus
-        sample = pretrain[1]["train"][0]
         model = PretrainModel(config, vocab.size, 1)
-        task_logits, com_logits = model.forward(sample)
+        task_logits, com_logits = model.forward(*inputs(pretrain[1]["train"]))
         assert task_logits.shape == (3,)      # three shape classes
         assert com_logits.shape == (2,)
         seg = PretrainModel(config, vocab.size, 0)
-        seg_sample = pretrain[0]["train"][0]
-        pixel_logits = seg.forward(seg_sample)[0]
+        pixel_logits = seg.forward(*inputs(pretrain[0]["train"]))[0]
         assert pixel_logits.shape == (config.image_size, config.image_size, 2)
 
     @pytest.mark.parametrize("type_id", [0, 1, 2])
@@ -151,23 +154,21 @@ class TestForward:
         both pretrain modes; single mode runs no question pathway."""
         config, vocab, _, _ = corpus
         samples = generate_pretrain(1, 40, config.data_config(), vocab)[type_id]["train"]
-        drawn = set()
-        for s in samples:
-            drawn |= {int(t) for t in np.unique(s.task_target)}
+        drawn = {int(t) for t in np.unique(samples.target)}
         assert drawn == set(range(len(drawn)))
         model = PretrainModel(config, vocab.size, type_id)
-        task_logits, _ = model.forward(samples[0])
+        task_logits, _ = model.forward(*inputs(samples))
         assert task_logits.shape[-1] == len(drawn)
 
         lstm_calls = []
         monkeypatch.setattr(question, "lstm_sequence",
                             lambda *args: lstm_calls.append(args) or lstm_sequence(*args))
         single = PretrainModel(replace(config, pretrain_mode="single"), vocab.size, type_id)
-        task_logits, com_logits = single.forward(samples[0])
+        task_logits, com_logits = single.forward(*inputs(samples))
         assert task_logits.shape[-1] == len(drawn)
         assert com_logits is None
         assert lstm_calls == []
-        model.forward(samples[0])
+        model.forward(*inputs(samples))
         assert len(lstm_calls) == 1  # the patch sees the multi-mode question pathway
 
     def test_desk_forward_node_count(self, monkeypatch):
@@ -179,13 +180,13 @@ class TestForward:
         dc = config.data_config()
         vocab = build_vocabulary(dc)
         built = _record_ops(monkeypatch)
-        VqaModel(config, vocab.size).forward(generate_vqa(0, 4, dc, vocab)["train"][0])
+        VqaModel(config, vocab.size).forward(*inputs(generate_vqa(0, 4, dc, vocab)["train"]))
         counts = [len(built)]
         pretrain = generate_pretrain(0, 4, dc, vocab)
         for type_id in range(len(TYPE_NAMES)):
             model = PretrainModel(config, vocab.size, type_id)
             built.clear()
-            model.forward(pretrain[type_id]["train"][0])
+            model.forward(*inputs(pretrain[type_id]["train"]))
             counts.append(len(built))
         assert counts == [29, 20, 22, 22]
         assert built.count("lstm_sequence") == 1
@@ -200,11 +201,11 @@ class TestForward:
         config = load_config(CONFIGS / "gradcheck.cfg")
         dc = config.data_config()
         vocab = build_vocabulary(dc)
-        sample = generate_vqa(config.seed, 4, dc, vocab)["train"][0]
+        train = generate_vqa(config.seed, 4, dc, vocab)["train"]
         model = VqaModel(config, vocab.size)
         built = _record_ops(monkeypatch)
-        logits, gate, _ = model.forward(sample)
-        vqa_loss(logits, sample.answer_id, gate.logits, sample.type_id, config.alpha)
+        logits, gate, _ = model.forward(*inputs(train))
+        vqa_loss(logits, train.answer[0], gate.logits, train.type[0], config.alpha)
         assert Counter(built) == {
             "conv2d_relu": 7,            # the gate stem and 2 layers per backbone
             "weighted_sum": 1,           # the blend
@@ -271,13 +272,13 @@ class TestStages:
     def test_forward_with_given_stages_matches_full_forward(self, corpus):
         config, vocab, vqa, _ = corpus
         model = VqaModel(config, vocab.size)
-        sample = vqa["train"][0]
-        logits, gate, _ = model.forward(sample)
-        image = model.encode_image(sample)
-        question = model.question.encode(sample.token_ids)
+        pixels, tokens = inputs(vqa["train"])
+        logits, gate, _ = model.forward(pixels, tokens)
+        image = model.encode_image(pixels)
+        question = model.question.encode(tokens)
         for kwargs in ({"image": image}, {"question": question},
                        {"image": image, "question": question}):
-            again, again_gate, _ = model.forward(sample, **kwargs)
+            again, again_gate, _ = model.forward(pixels, tokens, **kwargs)
             assert again.data.tobytes() == logits.data.tobytes()
             assert again_gate.logits.data.tobytes() == gate.logits.data.tobytes()
 
@@ -322,10 +323,10 @@ class TestLayerNodes:
         model = VqaModel(replace(config, glimpses=glimpses), vocab.size)
 
         def losses():
-            out = []
-            for s in vqa["train"][:3]:
-                logits, gate, _ = model.forward(s)
-                out.append(vqa_loss(logits, s.answer_id, gate.logits, s.type_id, 0.5)[0])
+            out, train = [], vqa["train"]
+            for i in range(3):
+                logits, gate, _ = model.forward(*inputs(train, i))
+                out.append(vqa_loss(logits, train.answer[i], gate.logits, train.type[i], 0.5)[0])
             return out
 
         self._check(monkeypatch, model, losses)
@@ -336,11 +337,11 @@ class TestLayerNodes:
         model = PretrainModel(config, vocab.size, type_id)
 
         def losses():
-            out = []
-            for s in pretrain[type_id]["train"][:3]:
-                task_logits, com_logits = model.forward(s)
-                out.append(pretrain_loss(task_logits, s.task_target, com_logits,
-                                         s.compat_label)[0])
+            out, train = [], pretrain[type_id]["train"]
+            for i in range(3):
+                task_logits, com_logits = model.forward(*inputs(train, i))
+                out.append(pretrain_loss(task_logits, train.target[i], com_logits,
+                                         train.compat[i])[0])
             return out
 
         self._check(monkeypatch, model, losses)
@@ -383,9 +384,9 @@ class TestCheckpoints:
 
     def test_restore_reproduces_forward_bitwise(self, corpus, tmp_path):
         config, vocab, vqa, _ = corpus
-        sample = vqa["train"][0]
+        sample = inputs(vqa["train"])
         source = VqaModel(config, vocab.size)
-        ref = source.forward(sample)[0].data.copy()
+        ref = source.forward(*sample)[0].data.copy()
         path = tmp_path / "ck.cmtb"
         save_checkpoint(source.params(), 1, "", path)
 
@@ -393,7 +394,7 @@ class TestCheckpoints:
         arrays, _, _ = load_checkpoint(path)
         copied = apply_checkpoint(target.params(), arrays)
         assert copied == len(source.params())
-        out = target.forward(sample)[0].data
+        out = target.forward(*sample)[0].data
         assert out.tobytes() == ref.tobytes()
 
     def test_full_restore_skips_unknown_names(self, corpus):

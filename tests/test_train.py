@@ -9,7 +9,7 @@ import pytest
 from cmvqa import model as model_module, train as train_module
 from cmvqa.bundle import write_bundle
 from cmvqa.config import RunConfig, load_config
-from cmvqa.data import build_vocabulary, generate_synthetic, save_dataset
+from cmvqa.data import Split, build_vocabulary, generate_synthetic, save_dataset
 from cmvqa.train import (
     METRICS_HEADER,
     MetricsWriter,
@@ -19,6 +19,7 @@ from cmvqa.train import (
     run_gradcheck,
     run_pretrain,
     run_vqa_train,
+    type_acc,
 )
 from cmvqa.model import VqaModel, load_checkpoint
 from cmvqa.numerics import Rng
@@ -81,28 +82,60 @@ class TestBatchOrder:
         assert sorted(i for b in batches for i in b) == list(range(8))
 
 
-class TestAnswerMetrics:
-    class _S:
-        def __init__(self, answer_id, kind):
-            self.answer_id = answer_id
-            self.question_kind = kind
+def _split(answers, opens, types=None):
+    """A VQA split holding only the columns the metrics read, as float64."""
+    types = [0] * len(answers) if types is None else types
+    return Split(answer=np.array(answers, np.float64), open=np.array(opens, np.float64),
+                 type=np.array(types, np.float64))
 
+
+def _counted_metrics(preds, answers, opens):
+    """answer_metrics counted one sample at a time, as plain ints."""
+    open_hits = open_n = closed_hits = closed_n = 0
+    for pred, answer, is_open in zip(preds, answers, opens):
+        hit = int(pred == answer)
+        if is_open:
+            open_hits, open_n = open_hits + hit, open_n + 1
+        else:
+            closed_hits, closed_n = closed_hits + hit, closed_n + 1
+    total = open_n + closed_n
+    return {"open_acc": open_hits / open_n if open_n else 0.0,
+            "closed_acc": closed_hits / closed_n if closed_n else 0.0,
+            "all_acc": (open_hits + closed_hits) / total if total else 0.0}
+
+
+class TestAnswerMetrics:
     def test_open_closed_split(self):
-        samples = [self._S(2, "open"), self._S(3, "open"),
-                   self._S(0, "closed"), self._S(1, "closed")]
-        metrics = answer_metrics([2, 4, 0, 0], samples)
+        metrics = answer_metrics([2, 4, 0, 0], _split([2, 3, 0, 1], [1, 1, 0, 0]))
         assert metrics["open_acc"] == 0.5
         assert metrics["closed_acc"] == 0.5
         assert metrics["all_acc"] == 0.5
 
     def test_majority_predictor_scores_poorly(self):
         # constant "yes" answers only the yes half of closed questions
-        samples = [self._S(2, "open"), self._S(0, "closed"),
-                   self._S(1, "closed"), self._S(4, "open")]
-        metrics = answer_metrics([0, 0, 0, 0], samples)
+        metrics = answer_metrics([0, 0, 0, 0], _split([2, 0, 1, 4], [1, 0, 0, 1]))
         assert metrics["open_acc"] == 0.0
         assert metrics["closed_acc"] == 0.5
         assert metrics["all_acc"] == 0.25
+
+    @pytest.mark.parametrize("kinds", ["mixed", "open-only", "closed-only"])
+    @pytest.mark.parametrize("n", [1, 7, 75, 350])
+    def test_array_counts_equal_per_sample_counts(self, kinds, n):
+        """Exact float equality, since metrics.csv is compared byte for byte."""
+        gen = np.random.default_rng(n)
+        answers = gen.integers(0, 5, n)
+        preds = np.where(gen.random(n) < 0.6, answers, gen.integers(0, 5, n))
+        opens = {"mixed": gen.integers(0, 2, n), "open-only": np.ones(n, int),
+                 "closed-only": np.zeros(n, int)}[kinds]
+        types = gen.integers(0, 3, n)
+        type_preds = np.where(gen.random(n) < 0.7, types, gen.integers(0, 3, n))
+        split = _split(answers, opens, types)
+        got = answer_metrics(list(preds), split)
+        want = _counted_metrics([int(p) for p in preds], [int(a) for a in answers],
+                                [bool(o) for o in opens])
+        assert got == want and all(type(v) is float for v in got.values())
+        assert type_acc(list(type_preds), split) == \
+            sum(int(p == t) for p, t in zip(type_preds, types)) / n
 
 
 class TestVqaTraining:
