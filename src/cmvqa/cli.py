@@ -99,13 +99,14 @@ def main(argv=None) -> int:
         if args.command == "eval":
             from .data import load_dataset
             from .model import VqaModel, apply_checkpoint, load_checkpoint
-            from .train import run_eval
+            from .train import nonempty, run_eval
 
             vqa, _, vocab, data_config = load_dataset(config.data_dir)
             config.check_dataset(data_config)
+            split = nonempty(vqa[config.eval_split], f"vqa {config.eval_split}")
             model = VqaModel(config, vocab.size)
             apply_checkpoint(model.params(), load_checkpoint(args.init)[0])
-            metrics = run_eval(model, vqa[config.eval_split])
+            metrics = run_eval(model, split)
             for key in ("open_acc", "closed_acc", "all_acc", "type_acc"):
                 print(f"{key}={metrics[key]:.6f}")
             return 0

@@ -313,8 +313,9 @@ def save_dataset(vqa, pretrain, vocab: Vocabulary, config: DataConfig, out_dir) 
 
 
 def load_dataset(out_dir):
-    """Inverse of save_dataset: (vqa, pretrain, vocab, config).  Every id
-    column must hold integers below its class count."""
+    """Inverse of save_dataset: (vqa, pretrain, vocab, config).  Every column
+    must have the shape the data settings give it, or (0,) in an empty split,
+    and every id column must hold integers below its class count."""
     path = os.path.join(out_dir, "data.cmtb")
     tensors = read_bundle(path)
     regenerate = "regenerate the dataset with cmvqa gen-data"
@@ -334,7 +335,11 @@ def load_dataset(out_dir):
     config = DataConfig(**saved)
     vocab = build_vocabulary(config)
 
-    def split(prefix: str, keys: Sequence[str], **classes: int) -> Split:
+    size = (config.image_size, config.image_size)
+    tails = {"image": size + (IMAGE_CHANNELS,), "tokens": (config.l_w,)}
+
+    def split(prefix: str, keys: Sequence[str], column_tails: Dict[str, tuple],
+              **classes: int) -> Split:
         names = [f"{prefix}/{k}" for k in keys]
         for name in names:
             if name not in tensors:
@@ -342,6 +347,12 @@ def load_dataset(out_dir):
         if len({tensors[n].shape[:1] for n in names}) > 1:
             raise ValueError(f"{path} holds different sample counts under {prefix!r}; "
                              + regenerate)
+        for key, name in zip(keys, names):
+            shape, tail = tensors[name].shape, column_tails.get(key, ())
+            if shape != (0,) and (not shape or shape[1:] != tail):
+                want = str(("n",) + tail).replace("'", "")
+                raise ValueError(f"{path} entry {name!r} has shape {shape}, not {want}; "
+                                 + regenerate)
         for key, count in classes.items():
             ids = tensors[f"{prefix}/{key}"]
             bad = ids[(ids < 0) | (ids >= count) | (ids != np.floor(ids))]
@@ -350,10 +361,12 @@ def load_dataset(out_dir):
                                  f"id in [0, {count}); {regenerate}")
         return Split(**{k: tensors[n] for k, n in zip(keys, names)})
 
-    vqa = {name: split(f"vqa/{name}", VQA_COLUMNS, tokens=vocab.size, answer=K_ANSWERS,
+    vqa = {name: split(f"vqa/{name}", VQA_COLUMNS, tails, tokens=vocab.size, answer=K_ANSWERS,
                        type=len(TYPE_NAMES), open=2)
            for name in config.vqa_fractions()}
+    targets = {"segmentation": size, "classification": ()}
     pretrain = {t: {name: split(f"pretrain/{TYPE_NAMES[t]}/{name}", PRETRAIN_COLUMNS,
+                                {**tails, "target": targets[pretrain_task_kind(t)]},
                                 tokens=vocab.size, target=pretrain_task_classes(t), compat=2)
                     for name in PRETRAIN_SPLITS}
                 for t in range(len(TYPE_NAMES))}

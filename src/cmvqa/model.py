@@ -31,7 +31,7 @@ from .heads import (
     init_segmentation_head,
     predict_answer,
 )
-from .numerics import Rng, ShapeError, Tensor
+from .numerics import Rng, ShapeError, Tensor, reshape
 from .question import (
     QuestionEmbedding,
     embed,
@@ -45,7 +45,6 @@ from .vision import (
     backbone_forward,
     blend,
     classify_type,
-    image_patches,
     init_backbone,
     init_type_classifier,
     spatial_map,
@@ -122,11 +121,11 @@ class VqaModel:
         self.config = config
         self.cmsa_config = config.cmsa_config()
         self.question = _QuestionSide(config, rng.child("question"), vocab_size)
-        self.backbones = {
-            name: init_backbone(rng.child(f"backbone-{name}").gen, config.image_size,
-                                IMAGE_CHANNELS, config.grid, config.c_v)
+        self.backbones = [
+            init_backbone(rng.child(f"backbone-{name}").gen, config.image_size,
+                          IMAGE_CHANNELS, config.grid, config.c_v)
             for name in TYPE_NAMES
-        }
+        ]
         self.gate = init_type_classifier(rng.child("gate").gen, IMAGE_CHANNELS)
         self.cmsa = init_cmsa(rng.child("cmsa").gen, self.cmsa_config)
         self.answer = init_answer_head(rng.child("answer").gen, config.d_q, K_ANSWERS)
@@ -135,8 +134,8 @@ class VqaModel:
     def params(self) -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}
         self.question.register(out)
-        for name in TYPE_NAMES:
-            _register_backbone(out, f"backbone/{name}", self.backbones[name])
+        for name, backbone in zip(TYPE_NAMES, self.backbones):
+            _register_backbone(out, f"backbone/{name}", backbone)
         out["gate/stem/w"] = self.gate.stem.weight
         out["gate/stem/b"] = self.gate.stem.bias
         out["gate/proj_w"] = self.gate.proj_w
@@ -148,12 +147,8 @@ class VqaModel:
     def encode_image(self, pixels: np.ndarray) -> Tuple[Tensor, TypeGate]:
         """The image stage: (gated feature map v, type gate)."""
         image = Tensor(pixels)
-        patches = image_patches(image)
-        gate = classify_type(image, self.gate, patches)
-        v = blend(backbone_forward(image, self.backbones["abdomen"], patches),
-                  backbone_forward(image, self.backbones["head"], patches),
-                  backbone_forward(image, self.backbones["chest"], patches), gate)
-        return v, gate
+        gate = classify_type(image, self.gate)
+        return blend(backbone_forward(image, self.backbones), gate), gate
 
     def forward(self, pixels, tokens, image: Optional[Tuple[Tensor, TypeGate]] = None,
                 question: Optional[QuestionEmbedding] = None
@@ -200,7 +195,8 @@ class PretrainModel:
     def forward(self, pixels: np.ndarray, tokens) -> Tuple[Tensor, Optional[Tensor]]:
         """Returns (task logits, compatibility logits).  In single pretrain
         mode the question pathway does not run and the second item is None."""
-        features = backbone_forward(Tensor(pixels), self.backbone)
+        stack = backbone_forward(Tensor(pixels), [self.backbone])
+        features = reshape(stack, stack.shape[1:])
         task_logits = image_task_head(features, self.task, self.task_head,
                                       self.config.image_size // self.config.grid)
         if self.config.pretrain_mode == "single":

@@ -217,26 +217,25 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
-def weighted_sum(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
+def weighted_sum(w: Tensor, parts: Tensor) -> Tensor:
     """(w[0] * parts[0] + w[1] * parts[1]) + ... as one node: the sum, left to
-    right, of equally shaped tensors scaled by the entries of the (K,) w."""
-    parts = tuple(parts)
-    shape = parts[0].shape
-    if w.shape != (len(parts),) or any(p.shape != shape for p in parts):
-        raise ShapeError(f"weighted_sum of {[p.shape for p in parts]} by weights {w.shape}")
+    right, of the slices of the (K, ...) stack parts scaled by the entries of
+    the (K,) w."""
+    if parts.data.ndim < 2 or w.shape != parts.shape[:1]:
+        raise ShapeError(f"weighted_sum of {parts.shape} by weights {w.shape}")
     weights = w.data
     data = None
-    for k, part in enumerate(parts):
-        term = _checked(weights[k] * part.data, "weighted_sum", f"term {k}")
+    for k, part in enumerate(parts.data):
+        term = _checked(weights[k] * part, "weighted_sum", f"term {k}")
         data = term if data is None else data + term
-        if 0 < k < len(parts) - 1:   # the last sum is the node's value
+        if 0 < k < len(weights) - 1:   # the last sum is the node's value
             _checked(data, "weighted_sum", f"sum of terms 0-{k}")
 
     def back(g: np.ndarray):
-        gw = np.concatenate([_unbroadcast(g * p.data, (1,)) for p in parts])
-        return (gw,) + tuple(g * weights[k] for k in range(len(parts)))
+        gw = np.concatenate([_unbroadcast(g * part, (1,)) for part in parts.data])
+        return gw, g * weights.reshape((-1,) + (1,) * g.ndim)
 
-    return _node(data, (w,) + parts, back, "weighted_sum")
+    return _node(data, (w, parts), back, "weighted_sum")
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -465,63 +464,57 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 # -- convolution / resampling ------------------------------------------------
 
 
-def conv2d_relu(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2,
-                padding: int = 1, patches: np.ndarray | None = None) -> Tensor:
-    """relu(conv2d(x, weight, bias, stride, padding)) as one node, with the
-    same values and gradients as the two ops.  ``patches`` is
-    ``im2col(x.data, ...)`` with this kernel, stride and padding, for an input
-    that several layers read."""
-    pre, conv_back = _conv2d(x, weight, bias, stride, padding, patches)
-    # checked before the ReLU, which would turn NaN and -inf into 0
-    mask = _checked(pre, "conv2d_relu", "convolution") > 0
-    return _node(np.where(mask, pre, 0.0), (x, weight, bias), lambda g: conv_back(g * mask),
-                 "conv2d_relu")
-
-
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """The (Ho * Wo, kh * kw * C) patch rows of an (H, W, C) array padded with
-    zeros: rows in (Ho, Wo) order, each in (kh, kw, C) order."""
-    h, w, c_in = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    xp = np.zeros((h + 2 * padding, w + 2 * padding, c_in))
-    xp[padding : padding + h, padding : padding + w] = x
-    # a (Ho, Wo, kh, kw, C_in) window view over the padded buffer, copied into
-    # patch rows by the reshape
-    s_r, s_c, s_ch = xp.strides
-    windows = np.ndarray((ho, wo, kh, kw, c_in), np.float64, xp, 0,
-                         (stride * s_r, stride * s_c, s_r, s_c, s_ch))
-    return windows.reshape(ho * wo, kh * kw * c_in)
-
-
-def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int,
-            patches: np.ndarray | None = None):
-    """The convolution's value and its backward, (gx, gw, gb) of the upstream
-    gradient; gx is None when x needs no gradient.  ``patches`` is x's
-    ``im2col``, built here when None."""
-    h, w, c_in = x.shape
-    kh, kw, wc_in, c_out = weight.shape
-    if wc_in != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}")
+def conv2d_relu(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
+                stride: int = 2, padding: int = 1) -> Tensor:
+    """relu(conv2d) of E encoders as one node: E (kh, kw, C_in, C_out) kernels
+    and their (C_out,) biases over an (H, W, C_in) map that every encoder
+    reads or an (E, H, W, C_in) stack of a map each, as one im2col and one
+    np.matmul.  Returns the (E, Ho, Wo, C_out) stack; each encoder's slice and
+    its kernel and bias gradients have the bits of its own convolution and
+    ReLU, and a shared map's gradient is the sum over encoders."""
+    weights, biases = tuple(weights), tuple(biases)
+    e, lead = len(weights), x.shape[:-3]
+    kshape = weights[0].shape if weights else ()
+    if (len(kshape) != 4 or len(biases) != e or x.data.ndim < 3 or lead not in ((), (e,))
+            or x.shape[-1] != kshape[2] or any(w.shape != kshape for w in weights)
+            or any(b.shape != kshape[3:] for b in biases)):
+        raise ShapeError(f"conv2d_relu of input {x.shape} by kernels {[w.shape for w in weights]} "
+                         f"and biases {[b.shape for b in biases]}")
+    kh, kw, c_in, c_out = kshape
+    h, w = x.shape[-3:-1]
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {weight.shape}")
-    if patches is None:
-        patches = im2col(x.data, kh, kw, stride, padding)
-    elif patches.shape != (ho * wo, kh * kw * c_in):
-        raise ShapeError(f"conv2d patches {patches.shape} for input {x.shape}, "
-                         f"kernel {weight.shape}")
-    w2 = weight.data.reshape(kh * kw * c_in, c_out)
-    data = (patches @ w2 + bias.data).reshape(ho, wo, c_out)
+        raise ShapeError(f"conv2d_relu output would be empty for input {x.shape}, kernel {kshape}")
+    # the (..., Ho * Wo, kh * kw * C_in) patch rows, in (Ho, Wo) and (kh, kw,
+    # C_in) order: a window view over the zero-padded input, copied by the reshape
+    xp = np.zeros(lead + (h + 2 * padding, w + 2 * padding, c_in))
+    xp[..., padding : padding + h, padding : padding + w, :] = x.data
+    *s_lead, s_r, s_c, s_ch = xp.strides
+    cols = np.ndarray(lead + (ho, wo, kh, kw, c_in), np.float64, xp, 0,
+                      (*s_lead, stride * s_r, stride * s_c, s_r, s_c, s_ch)
+                      ).reshape(lead + (ho * wo, kh * kw * c_in))
+
+    def kernels():   # built again in backward, so no live graph holds a copy
+        return np.concatenate([wt.data for wt in weights]).reshape(e, kh * kw * c_in, c_out)
+
+    b3 = np.concatenate([b.data for b in biases]).reshape(e, 1, c_out)
+    # one GEMM per encoder, a shared map's patch rows broadcast: a GEMM over
+    # the concatenated kernels is slower at desk dims and rounds differently
+    pre = np.matmul(cols, kernels()) + b3
+    # checked before the ReLU, which would turn NaN and -inf into 0
+    mask = _checked(pre, "conv2d_relu", "convolution") > 0
 
     def back(g: np.ndarray):
-        g2 = g.reshape(ho * wo, c_out)
-        gw = (patches.T @ g2).reshape(weight.shape)
-        gb = g2.sum(axis=0)
+        g3 = g.reshape(mask.shape) * mask
+        grads = (tuple(np.matmul(cols.swapaxes(-1, -2), g3).reshape((e,) + kshape))
+                 + tuple(np.add.reduce(g3, axis=1)))
         if not x.requires_grad:  # a raw image: skip the input-gradient GEMM and col2im
-            return None, gw, gb
-        gcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, c_in)
+            return (None,) + grads
+        gcols = np.matmul(g3, kernels().swapaxes(1, 2))
+        if not lead:   # a shared map: the sum over encoders
+            gcols = gcols.sum(axis=0)
+        gcols = gcols.reshape(lead + (ho, wo, kh, kw, c_in))
         # col2im on the padded input seen as (row block, row phase, column
         # block, column phase): tap (i, j) adds to block offset (i // stride,
         # j // stride) at phase (i % stride, j % stride).  The taps sharing a
@@ -529,16 +522,17 @@ def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int,
         # offsets run in (i, j) order, which is every cell's order in a
         # tap-by-tap loop.
         nh, nw = -(-(h + 2 * padding) // stride), -(-(w + 2 * padding) // stride)
-        gxp = np.zeros((nh, stride, nw, stride, c_in))
+        gxp = np.zeros(lead + (nh, stride, nw, stride, c_in))
         for i in range(0, kh, stride):
             for j in range(0, kw, stride):
-                taps = gcols[:, :, i : i + stride, j : j + stride]
-                gxp[i // stride : i // stride + ho, : taps.shape[2],
-                    j // stride : j // stride + wo, : taps.shape[3]] += taps.transpose(0, 2, 1, 3, 4)
-        gx = gxp.reshape(nh * stride, nw * stride, c_in)[padding : padding + h, padding : padding + w]
-        return gx, gw, gb
+                taps = gcols[..., i : i + stride, j : j + stride, :]
+                gxp[..., i // stride : i // stride + ho, : taps.shape[-3],
+                    j // stride : j // stride + wo, : taps.shape[-2], :] += taps.swapaxes(-4, -3)
+        gx = gxp.reshape(lead + (nh * stride, nw * stride, c_in))
+        return (gx[..., padding : padding + h, padding : padding + w, :],) + grads
 
-    return data, back
+    return _node(np.where(mask, pre, 0.0).reshape(e, ho, wo, c_out), (x,) + weights + biases,
+                 back, "conv2d_relu")
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

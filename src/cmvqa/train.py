@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .data import TYPE_NAMES, Split, load_dataset
+from .data import PRETRAIN_SPLITS, TYPE_NAMES, Split, load_dataset
 from .heads import LossReport, pretrain_loss, vqa_loss
 from .model import (
     PretrainModel,
@@ -131,10 +131,16 @@ def type_acc(preds: np.ndarray, split: Split) -> float:
     return _share(np.asarray(preds) == split.type)
 
 
+def nonempty(split: Split, name: str) -> Split:
+    """split, or a ValueError naming it when it holds no sample."""
+    if not split:
+        raise ValueError(f"the {name} split is empty; regenerate the dataset with cmvqa gen-data")
+    return split
+
+
 def run_eval(model: VqaModel, split: Split) -> Dict[str, float]:
     """Deterministic forward-only pass over one split."""
-    if not split:
-        raise ValueError("empty evaluation split")
+    nonempty(split, "evaluation")
     preds, types = [], []
     for pixels, tokens in zip(split.image, split.tokens):
         logits, gate, _ = model.forward(pixels, tokens)
@@ -152,9 +158,8 @@ def run_vqa_train(config: RunConfig, out_dir, init_path: Optional[str] = None,
     """Minimize l_vqa + alpha*l_type end to end; returns (model, final metrics)."""
     vqa, _, vocab, data_config = load_dataset(config.data_dir)
     config.check_dataset(data_config)
-    train = vqa["train"]
-    if not train:
-        raise ValueError("train split is empty")
+    train = nonempty(vqa["train"], "vqa train")
+    nonempty(vqa[config.eval_split], f"vqa {config.eval_split}")
 
     model = VqaModel(config, vocab.size)
     params = model.params()
@@ -221,8 +226,8 @@ def run_pretrain(config: RunConfig, out_dir, config_text: str = ""):
     config.check_dataset(data_config)
     models, frozen = [], frozen_table(config)
     for type_id in range(3):
-        if not pretrain[type_id]["train"]:
-            raise ValueError(f"pretrain train split for type {type_id} is empty")
+        for name in PRETRAIN_SPLITS:
+            nonempty(pretrain[type_id][name], f"pretrain {TYPE_NAMES[type_id]} {name}")
         models.append(PretrainModel(config, vocab.size, type_id, frozen))
     os.makedirs(out_dir, exist_ok=True)
 

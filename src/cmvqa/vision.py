@@ -1,15 +1,16 @@
 """Image side: type-specific conv backbones, the type gate, blending, spatial map.
 
-Three small strided conv stacks stand in for the per-type encoders; a separate
-cheap stem classifies the image type into simplex weights w, and the blended
-visual feature is v = w1*v_a + w2*v_h + w3*v_c.  The 8-D spatial map encodes
+Three small strided conv stacks stand in for the per-type encoders, run as one
+conv2d_relu node per layer over a leading encoder axis; a separate cheap stem
+classifies the image type into simplex weights w, and the blended visual
+feature is v = w1*v_a + w2*v_h + w3*v_c.  The 8-D spatial map encodes
 normalized cell geometry: [x_tl, y_tl, x_ctr, y_ctr, x_br, y_br, w, h].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .numerics import (
     ShapeError,
     Tensor,
     conv2d_relu,
-    im2col,
     mean_over_axes,
     pointwise_channel_map,
     softmax_rows,
@@ -81,20 +81,14 @@ def init_backbone(gen, image_size: int, c_in: int, g: int, c_v: int) -> Backbone
     return BackboneParams(layers=layers)
 
 
-def image_patches(image: Tensor) -> np.ndarray:
-    """The image's 3x3, stride-2, zero-padded patch rows: what the gate stem
-    and every backbone's first layer read, so one forward builds them once."""
-    return im2col(image.data, 3, 3, 2, 1)
-
-
-def backbone_forward(image: Tensor, params: BackboneParams,
-                     patches: np.ndarray | None = None) -> Tensor:
-    """Image (H, W, C_in) -> features (G, G, C_v); ReLU after every layer.
-    ``patches`` is ``image_patches(image)``, built here when None."""
+def backbone_forward(image: Tensor, backbones: Sequence[BackboneParams]) -> Tensor:
+    """Image (H, W, C_in) -> the (E, G, G, C_v) stack of E encoders' features,
+    one conv2d_relu node per layer: the first reads the shared image, each
+    later one every encoder's own map."""
     x = image
-    for i, layer in enumerate(params.layers):
-        x = conv2d_relu(x, layer.weight, layer.bias, stride=2, padding=1,
-                        patches=None if i else patches)
+    for layers in zip(*(bb.layers for bb in backbones), strict=True):
+        x = conv2d_relu(x, [layer.weight for layer in layers], [layer.bias for layer in layers],
+                        stride=2, padding=1)
     return x
 
 
@@ -108,20 +102,18 @@ def init_type_classifier(gen, c_in: int, stem_channels: int = 8) -> TypeClassifi
     return TypeClassifierParams(stem=stem, proj_w=proj_w, proj_b=proj_b)
 
 
-def classify_type(image: Tensor, params: TypeClassifierParams,
-                  patches: np.ndarray | None = None) -> TypeGate:
-    """Cheap stem + global pool + affine -> simplex weights over the 3 types.
-    ``patches`` is ``image_patches(image)``, built here when None."""
-    feats = conv2d_relu(image, params.stem.weight, params.stem.bias, stride=2, padding=1,
-                        patches=patches)
-    pooled = mean_over_axes(feats, (0, 1))
+def classify_type(image: Tensor, params: TypeClassifierParams) -> TypeGate:
+    """Cheap stem + global pool + affine -> simplex weights over the 3 types."""
+    feats = conv2d_relu(image, [params.stem.weight], [params.stem.bias], stride=2, padding=1)
+    pooled = mean_over_axes(feats, (0, 1, 2))
     logits = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
     return TypeGate(logits=logits, w=softmax_rows(logits))
 
 
-def blend(v_a: Tensor, v_h: Tensor, v_c: Tensor, gate: TypeGate) -> Tensor:
-    """Soft selection of encoder outputs: w1*v_a + w2*v_h + w3*v_c, elementwise."""
-    return weighted_sum(gate.w, (v_a, v_h, v_c))
+def blend(v: Tensor, gate: TypeGate) -> Tensor:
+    """Soft selection of the (3, G, G, C_v) encoder stack v:
+    w1*v_a + w2*v_h + w3*v_c, elementwise."""
+    return weighted_sum(gate.w, v)
 
 
 def spatial_map(g: int) -> Tensor:

@@ -1,10 +1,10 @@
 """The layers as compositions of primitive ops: the graphs the layer-level
-ops (the factor-form glimpse, conv2d_relu, weighted_sum) replace, the
-segmentation decoder with its second 1x1 map on every pixel, and the loop
-form of the spatial map.  Each takes the arguments of the function it
-stands in for, so a test can patch it in under that function's name.  The
-primitive ops that only these graphs use (matmul, transpose2d, conv2d and
-multimodal_channel_map) live here too."""
+ops (the factor-form glimpse, the encoder-axis conv2d_relu, weighted_sum)
+replace, the segmentation decoder with its second 1x1 map on every pixel,
+and the loop form of the spatial map.  Each takes the arguments of the
+function it stands in for, so a test can patch it in under that function's
+name.  The primitive ops that only these graphs use (matmul, transpose2d,
+conv2d, stack and multimodal_channel_map) live here too."""
 
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,11 +26,11 @@ from cmvqa.numerics import (
     pointwise_channel_map,
     relu,
     reshape,
-    slice_last,
     softmax_rows,
+    sum_over_axes,
     upsample_nearest,
 )
-from cmvqa.numerics.tensor import _conv2d, _node
+from cmvqa.numerics.tensor import _node
 from cmvqa.vision import TypeClassifierParams, TypeGate
 
 
@@ -54,13 +54,47 @@ def transpose2d(a: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, padding: int = 1) -> Tensor:
-    """2-D convolution on a single (H, W, C_in) map.
+    """2-D convolution on a single (H, W, C_in) map: patch rows gathered tap by
+    tap from the np.pad-ded input, one GEMM, and a tap-by-tap scatter-add for
+    the input's gradient.
 
     weight: (kh, kw, C_in, C_out), bias: (C_out,). Output spatial size is
     (H + 2*padding - kh) // stride + 1 per side.
     """
-    data, back = _conv2d(x, weight, bias, stride, padding)
-    return _node(data, (x, weight, bias), back, "conv2d")
+    h, wd, c_in = x.shape
+    kh, kw, wc_in, c_out = weight.shape
+    if wc_in != c_in:
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}")
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
+    cols = np.empty((ho, wo, kh, kw, c_in))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j, :] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride, :]
+    patches = cols.reshape(ho * wo, kh * kw * c_in)
+    w2 = weight.data.reshape(kh * kw * c_in, c_out)
+
+    def back(g: np.ndarray):
+        g2 = g.reshape(ho * wo, c_out)
+        gw, gb = (patches.T @ g2).reshape(weight.shape), g2.sum(axis=0)
+        if not x.requires_grad:
+            return None, gw, gb
+        gcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, c_in)
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += gcols[:, :, i, j, :]
+        return gxp[padding : padding + h, padding : padding + wd, :], gw, gb
+
+    return _node((patches @ w2 + bias.data).reshape(ho, wo, c_out), (x, weight, bias), back,
+                 "conv2d")
+
+
+def stack(parts) -> Tensor:
+    """Equally shaped tensors stacked on a new leading axis."""
+    parts = tuple(parts)
+    return _node(np.stack([p.data for p in parts]), parts, lambda g: tuple(g), "stack")
 
 
 def multimodal_channel_map(grid: Tensor, words: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -215,18 +249,30 @@ def conv_relu_composition(x, weight, bias, stride=2, padding=1):
     return relu(conv2d(x, weight, bias, stride=stride, padding=padding))
 
 
-def backbone_composition(image, params, patches=None):
-    """vision.backbone_forward with a conv2d and a relu node per layer, each
-    conv building its own patch rows (``patches`` is not read)."""
-    x = image
-    for layer in params.layers:
-        x = conv_relu_composition(x, layer.weight, layer.bias)
-    return x
+def conv_relu_stack(maps, weights, biases, stride=2, padding=1):
+    """numerics.conv2d_relu as a conv2d and a relu node per encoder, the
+    outputs stacked: maps is the (H, W, C) map every encoder reads, or one
+    such map per encoder."""
+    if isinstance(maps, Tensor):
+        maps = [maps] * len(weights)
+    return stack(conv_relu_composition(m, w, b, stride, padding)
+                 for m, w, b in zip(maps, weights, biases, strict=True))
 
 
-def classify_type_composition(image, params: TypeClassifierParams, patches=None) -> TypeGate:
-    """vision.classify_type with a conv2d and a relu node for the stem, which
-    builds its own patch rows (``patches`` is not read)."""
+def backbone_composition(image, backbones):
+    """vision.backbone_forward as a conv2d and a relu node per encoder and
+    layer, each encoder's stack run on its own, and the outputs stacked."""
+    outs = []
+    for params in backbones:
+        x = image
+        for layer in params.layers:
+            x = conv_relu_composition(x, layer.weight, layer.bias)
+        outs.append(x)
+    return stack(outs)
+
+
+def classify_type_composition(image, params: TypeClassifierParams) -> TypeGate:
+    """vision.classify_type with a conv2d and a relu node for the stem."""
     feats = conv_relu_composition(image, params.stem.weight, params.stem.bias)
     pooled = mean_over_axes(feats, (0, 1))
     logits = pointwise_channel_map(pooled, params.proj_w, params.proj_b)
@@ -234,14 +280,11 @@ def classify_type_composition(image, params: TypeClassifierParams, patches=None)
     return TypeGate(logits=logits, w=w)
 
 
-def blend_composition(v_a, v_h, v_c, gate):
-    """vision.blend as slice, broadcast and mul per encoder, then two adds."""
-    shape = v_a.shape
-    parts = []
-    for i, v_i in enumerate((v_a, v_h, v_c)):
-        w_i = broadcast_to(slice_last(gate.w, i, i + 1), shape)
-        parts.append(mul(w_i, v_i))
-    return add(add(parts[0], parts[1]), parts[2])
+def blend_composition(v, gate):
+    """vision.blend as a broadcast of the gate weights over the (3, ...)
+    stack v, a mul, and a sum over the encoder axis."""
+    w = broadcast_to(reshape(gate.w, (3,) + (1,) * (v.data.ndim - 1)), v.shape)
+    return sum_over_axes(mul(w, v), (0,))
 
 
 def segmentation_decoder_composition(features, kind, params, factor):

@@ -70,10 +70,20 @@ def _set_first(name, value):
     return edit
 
 
-def _assert_dataset_rejected(tmp_path, cfg, capsys, named):
-    """train, pretrain and eval each exit 2 naming the problem and gen-data,
-    print nothing to stdout and create no output directory."""
-    for command in ("train", "pretrain", "eval"):
+def _every_column(prefix, value):
+    """An edit of a data.cmtb entry dict that sets every column under prefix."""
+    def edit(arrays):
+        arrays.update({name: value for name in list(arrays) if name.startswith(prefix + "/")})
+    return edit
+
+
+ALL = ("train", "pretrain", "eval")
+
+
+def _assert_dataset_rejected(tmp_path, cfg, capsys, named, commands=ALL):
+    """Each command exits 2 naming the problem and gen-data, prints nothing
+    to stdout and creates no output directory."""
+    for command in commands:
         out = tmp_path / command
         assert main([command, "--config", str(cfg), *_flags(command, out, tmp_path)]) == 2
         captured = capsys.readouterr()
@@ -229,28 +239,42 @@ class TestErrors:
         (data / "data_config.json").write_text(json.dumps({"image_size": 8, "grid": 2}))
         _assert_dataset_rejected(tmp_path, cfg, capsys, "records no data settings")
 
-    @pytest.mark.parametrize("edit, named", [
+    @pytest.mark.parametrize("edit, named, commands", [
         (lambda arrays: arrays.pop("pretrain/head/val/compat"),
-         "no entry 'pretrain/head/val/compat'"),
+         "no entry 'pretrain/head/val/compat'", ALL),
         (lambda arrays: arrays.update({"vqa/train/answer": arrays["vqa/train/answer"][1:]}),
-         "different sample counts under 'vqa/train'"),
+         "different sample counts under 'vqa/train'", ALL),
         (lambda arrays: arrays.update({"pretrain/chest/val/target": np.array(1.0)}),
-         "different sample counts under 'pretrain/chest/val'"),
-        (_set_first("vqa/train/tokens", 999), "entry 'vqa/train/tokens' holds 999, not an id"),
-        (_set_first("vqa/train/tokens", 2.5), "entry 'vqa/train/tokens' holds 2.5, not an id"),
-        (_set_first("vqa/test/answer", 7), "entry 'vqa/test/answer' holds 7, not an id in [0, 5)"),
-        (_set_first("vqa/val/type", -1), "entry 'vqa/val/type' holds -1, not an id in [0, 3)"),
-        (_set_first("vqa/train/open", 2), "entry 'vqa/train/open' holds 2, not an id in [0, 2)"),
+         "different sample counts under 'pretrain/chest/val'", ALL),
+        (_set_first("vqa/train/tokens", 999), "entry 'vqa/train/tokens' holds 999, not an id", ALL),
+        (_set_first("vqa/train/tokens", 2.5), "entry 'vqa/train/tokens' holds 2.5, not an id", ALL),
+        (_set_first("vqa/test/answer", 7), "entry 'vqa/test/answer' holds 7, not an id in [0, 5)",
+         ALL),
+        (_set_first("vqa/val/type", -1), "entry 'vqa/val/type' holds -1, not an id in [0, 3)", ALL),
+        (_set_first("vqa/train/open", 2), "entry 'vqa/train/open' holds 2, not an id in [0, 2)",
+         ALL),
         (_set_first("pretrain/head/train/target", 3),
-         "entry 'pretrain/head/train/target' holds 3, not an id in [0, 3)"),
+         "entry 'pretrain/head/train/target' holds 3, not an id in [0, 3)", ALL),
         (_set_first("pretrain/abdomen/val/target", 0.5),
-         "entry 'pretrain/abdomen/val/target' holds 0.5, not an id in [0, 2)"),
+         "entry 'pretrain/abdomen/val/target' holds 0.5, not an id in [0, 2)", ALL),
         (_set_first("pretrain/chest/train/compat", 1.5),
-         "entry 'pretrain/chest/train/compat' holds 1.5, not an id in [0, 2)"),
+         "entry 'pretrain/chest/train/compat' holds 1.5, not an id in [0, 2)", ALL),
+        (lambda arrays: arrays.update({"vqa/train/tokens": arrays["vqa/train/tokens"][:, :3]}),
+         "entry 'vqa/train/tokens' has shape (17, 3), not (n, 6)", ALL),
+        (lambda arrays: arrays.update({"vqa/train/image": arrays["vqa/train/image"][:, :4, :4]}),
+         "entry 'vqa/train/image' has shape (17, 4, 4, 1), not (n, 8, 8, 1)", ALL),
+        (lambda arrays: arrays.update({"pretrain/head/train/target": np.zeros((7, 2))}),
+         "entry 'pretrain/head/train/target' has shape (7, 2), not (n,)", ALL),
+        (_every_column("vqa/train", np.array(0.0)),
+         "entry 'vqa/train/image' has shape (), not (n, 8, 8, 1)", ALL),
+        (_every_column("vqa/test", np.zeros(0)), "the vqa test split is empty", ("train", "eval")),
+        (_every_column("pretrain/head/val", np.zeros(0)), "the pretrain head val split is empty",
+         ("pretrain",)),
     ], ids=["missing", "short", "0-d", "token-999", "token-2.5", "answer-7", "type-negative",
-            "open-2", "class-3", "mask-half", "compat-1.5"])
+            "open-2", "class-3", "mask-half", "compat-1.5", "tokens-cut", "image-small",
+            "class-target-2-d", "all-0-d", "empty-vqa-test", "empty-pretrain-val"])
     def test_dataset_with_a_bad_entry_rejected_before_output(self, workspace, tmp_path, capsys,
-                                                             edit, named):
+                                                             edit, named, commands):
         root, _ = workspace
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG.format(data_dir=tmp_path / "data"))
@@ -258,7 +282,7 @@ class TestErrors:
         edit(arrays)
         (tmp_path / "data").mkdir()
         write_bundle(arrays, tmp_path / "data" / "data.cmtb")
-        _assert_dataset_rejected(tmp_path, cfg, capsys, named)
+        _assert_dataset_rejected(tmp_path, cfg, capsys, named, commands)
 
     @pytest.mark.parametrize("edit, named", [
         (("n_pretrain = 8", "n_pretrain = 3"), "n_pretrain = 3 leaves the val split empty"),

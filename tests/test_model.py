@@ -175,7 +175,9 @@ class TestForward:
         """Op nodes one forward builds at desk.cfg dimensions: the question
         LSTM is one node, not 17 per word, each CMSA glimpse is two (its
         attention and its value side) and the fuse two more (F's factor and
-        the readout), each conv with its ReLU is one, and so is the blend."""
+        the readout), each conv layer with its ReLU is one node for all three
+        encoders, the gate stem one more, and so is the blend.  A pre-training
+        forward turns its one-encoder stack into a map with one reshape."""
         config = load_config(CONFIGS / "desk.cfg")
         dc = config.data_config()
         vocab = build_vocabulary(dc)
@@ -188,12 +190,33 @@ class TestForward:
             built.clear()
             model.forward(*inputs(pretrain[type_id]["train"]))
             counts.append(len(built))
-        assert counts == [29, 20, 22, 22]
+        assert counts == [23, 21, 23, 23]
         assert built.count("lstm_sequence") == 1
         # one glimpse: the grid attention, pooled, and the pooled value side
         assert built.count("grid_attention") == built.count("pooled_values") == 1
         assert built.count("attention_glimpse") == built.count("glimpse_values") == 0
         assert built.count("factor_rows") == built.count("factor_readout") == 1
+
+    def test_forwards_reach_the_bench_patch_points(self, monkeypatch):
+        """bench/spans.py times its vision.* spans by wrapping these names of
+        cmvqa.model, so a desk VqaModel forward calls classify_type,
+        backbone_forward and blend once each, and a PretrainModel forward
+        calls backbone_forward once."""
+        config = load_config(CONFIGS / "desk.cfg")
+        dc = config.data_config()
+        vocab = build_vocabulary(dc)
+        calls = []
+        for name in ("classify_type", "backbone_forward", "blend"):
+            fn = getattr(model_module, name)
+            monkeypatch.setattr(model_module, name,
+                                lambda *args, _name=name, _fn=fn: calls.append(_name) or _fn(*args))
+        VqaModel(config, vocab.size).forward(*inputs(generate_vqa(0, 4, dc, vocab)["train"]))
+        assert sorted(calls) == ["backbone_forward", "blend", "classify_type"]
+        pretrain = generate_pretrain(0, 4, dc, vocab)
+        for type_id in range(len(TYPE_NAMES)):
+            calls.clear()
+            PretrainModel(config, vocab.size, type_id).forward(*inputs(pretrain[type_id]["train"]))
+            assert calls == ["backbone_forward"]
 
     def test_gradcheck_objective_node_census(self, monkeypatch):
         """Op nodes, by op, of one grad-check objective (forward and loss) at
@@ -207,7 +230,7 @@ class TestForward:
         logits, gate, _ = model.forward(*inputs(train))
         vqa_loss(logits, train.answer[0], gate.logits, train.type[0], config.alpha)
         assert Counter(built) == {
-            "conv2d_relu": 7,            # the gate stem and 2 layers per backbone
+            "conv2d_relu": 3,            # the gate stem and 2 layers over the encoders
             "weighted_sum": 1,           # the blend
             "grid_attention": 1, "glimpse_values": 1,      # glimpse 0
             "attention_glimpse": 1, "pooled_values": 1,    # the last glimpse, pooled
@@ -219,7 +242,7 @@ class TestForward:
             "add": 2, "sum_over_axes": 1, "relu": 1,
             "cross_entropy": 2, "scale": 1,
         }
-        assert len(built) == 30
+        assert len(built) == 26
 
 
 def _batch_grads(model, losses) -> dict:

@@ -42,11 +42,13 @@ from cmvqa.numerics import (
 from cmvqa.numerics.tensor import _softmax
 from layer_oracles import (
     conv2d,
+    conv_relu_stack,
     matmul,
     multimodal_channel_map,
     one_hot_basis,
     pair_map,
     phi0_blocks,
+    stack,
     transpose2d,
 )
 
@@ -487,8 +489,13 @@ OP_CASES = {
     "conv2d": lambda p, g: conv2d(p["img"], p["kern"], p["kb"], stride=2, padding=1),
     "upsample_nearest": lambda p, g: upsample_nearest(p["img"], 3),
     "lstm_sequence": lambda p, g: lstm_sequence(p["seq"], LstmParams(w=p["lstm_w"], b=p["lstm_b"])),
-    "conv2d_relu": lambda p, g: conv2d_relu(p["img"], p["kern"], p["kb"], stride=2, padding=1),
-    "weighted_sum": lambda p, g: weighted_sum(p["mix"], [p["a"], p["b"], p["c"]]),
+    "conv2d_relu": lambda p, g: conv2d_relu(p["img"], [p["kern"]], [p["kb"]], stride=2, padding=1),
+    # two encoders reading one map, and two reading a map each
+    "conv2d_relu[shared]": lambda p, g: conv2d_relu(p["img"], [p["kern"], p["kern2"]],
+                                                    [p["kb"], p["kb2"]], stride=2, padding=1),
+    "conv2d_relu[stacked]": lambda p, g: conv2d_relu(p["imgs"], [p["kern"], p["kern2"]],
+                                                     [p["kb"], p["kb2"]], stride=2, padding=1),
+    "weighted_sum": lambda p, g: weighted_sum(p["mix"], p["parts"]),
     # a map as the pair (identity, Phi); and a factor pair with a tracked B
     "attention_glimpse": lambda p, g: attention_glimpse(
         Tensor(np.eye(4)), p["att_phi"], _weights(p, QK))[0],
@@ -539,7 +546,7 @@ def _op_inputs(gen) -> dict:
         "lstm_w": Tensor(gen.standard_normal((5, 12)) * 0.5, requires_grad=True),
         "lstm_b": Tensor(gen.standard_normal(12), requires_grad=True),
         "mix": Tensor(gen.standard_normal(3), requires_grad=True),
-        "c": Tensor(gen.standard_normal((2, 3)), requires_grad=True),
+        "parts": Tensor(gen.standard_normal((3, 2, 3)), requires_grad=True),
         # factor pairs: B (6, 4) pooled over 2 groups, Phi (5, 4)
         "att_b": Tensor(gen.standard_normal((6, 4)), requires_grad=True),
         "att_phi": Tensor(gen.standard_normal((5, 4)), requires_grad=True),
@@ -551,6 +558,9 @@ def _op_inputs(gen) -> dict:
         **{name: Tensor(gen.standard_normal(shape), requires_grad=True) for name, shape in (
             ("aq_w", (4, 3)), ("aq_b", (3,)), ("ak_w", (4, 3)), ("ak_b", (3,)),
             ("av_w", (4, 3)), ("av_b", (3,)), ("ao_w", (3, 4)), ("ao_b", (4,)))},
+        "kern2": Tensor(gen.standard_normal((3, 3, 2, 2)) * 0.5, requires_grad=True),
+        "kb2": Tensor(gen.standard_normal(2), requires_grad=True),
+        "imgs": Tensor(gen.standard_normal((2, 4, 4, 2)), requires_grad=True),
     }
     phi = inputs["att_phi"].data
     inputs["grid_phi"] = Tensor(np.where(phi0_blocks(phi.shape, GRID_BLOCKS), phi, 0.0),
@@ -628,7 +638,9 @@ def _touches(op_name: str, key: str) -> bool:
         "upsample_nearest": {"img"},
         "lstm_sequence": {"seq", "lstm_w", "lstm_b"},
         "conv2d_relu": {"img", "kern", "kb"},
-        "weighted_sum": {"mix", "a", "b", "c"},
+        "conv2d_relu[shared]": {"img", "kern", "kern2", "kb", "kb2"},
+        "conv2d_relu[stacked]": {"imgs", "kern", "kern2", "kb", "kb2"},
+        "weighted_sum": {"mix", "parts"},
         "attention_glimpse": {"att_phi", *QK},
         "attention_glimpse[factors, pooled]": {"att_b", "att_phi", *QK},
         "grid_attention": {"grid_phi", *QK},
@@ -692,44 +704,48 @@ def test_sigmoid_bit_identical_to_two_branch_formula(gen):
     assert a.grad.tobytes() == (ref * (1.0 - ref)).tobytes()
 
 
-def _conv2d_pad_reference(x, w, b, g, stride, padding):
-    """im2col conv with np.pad and a per-tap gather; returns out, gx, gw, gb for
-    the upstream gradient g."""
-    h, wd, c_in = x.shape
-    kh, kw, _, c_out = w.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wd + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    cols = np.empty((ho, wo, kh, kw, c_in))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j, :] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride, :]
-    patches = cols.reshape(ho * wo, kh * kw * c_in)
-    w2 = w.reshape(kh * kw * c_in, c_out)
-    out = (patches @ w2 + b).reshape(ho, wo, c_out)
-    g2 = g.reshape(ho * wo, c_out)
-    gcols = (g2 @ w2.T).reshape(ho, wo, kh, kw, c_in)
-    gxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[i : i + stride * ho : stride, j : j + stride * wo : stride, :] += gcols[:, :, i, j, :]
-    gx = gxp[padding : padding + h, padding : padding + wd, :]
-    return out, gx, (patches.T @ g2).reshape(w.shape), g2.sum(axis=0)
+def _check_against_per_encoder_convs(gen, shape, kernel, stride, padding, encoders, kind):
+    """conv2d_relu of `encoders` kernels over a shared map, a map each
+    ("stacked"), or a shared map that needs no gradient ("raw"), against a
+    conv2d and a relu node per encoder: the output and every kernel and bias
+    gradient have the same bits, and so has each map's gradient when every
+    encoder reads its own; the shared map's gradient, which the node sums
+    over encoders before its col2im, is within a relative 1e-12."""
+    maps = [Tensor(gen.standard_normal(shape), requires_grad=kind != "raw")
+            for _ in range(encoders if kind == "stacked" else 1)]
+    weights = [Tensor(gen.standard_normal(kernel + (shape[2], 5)), requires_grad=True)
+               for _ in range(encoders)]
+    biases = [Tensor(gen.standard_normal(5), requires_grad=True) for _ in range(encoders)]
+
+    def bits(out):
+        for t in weights + biases + maps:
+            t.zero_grad()
+        coeffs = Tensor(np.cos(np.arange(out.size)).reshape(out.shape))
+        sum_over_axes(mul(out, coeffs), tuple(range(out.data.ndim))).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in weights + biases], \
+            [t.grad for t in maps]
+
+    x, per_encoder = (stack(maps), maps) if kind == "stacked" else (maps[0], maps[0])
+    got = bits(conv2d_relu(x, weights, biases, stride=stride, padding=padding))
+    want = bits(conv_relu_stack(per_encoder, weights, biases, stride=stride, padding=padding))
+    assert got[0] == want[0]
+    for g, w in zip(got[1], want[1]):
+        if kind == "raw":
+            assert g is None and w is None
+        elif kind == "stacked" or encoders == 1:
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("stride,padding", [(2, 1), (1, 0), (1, 1), (2, 0), (2, 2), (3, 1)])
 @pytest.mark.parametrize("shape", [(8, 8, 1), (5, 7, 3), (16, 16, 4)])
 def test_conv2d_bit_identical_to_pad_reference(gen, shape, stride, padding):
-    x = Tensor(gen.standard_normal(shape), requires_grad=True)
-    w = Tensor(gen.standard_normal((3, 3, shape[2], 5)), requires_grad=True)
-    b = Tensor(gen.standard_normal(5), requires_grad=True)
-    out = conv2d(x, w, b, stride=stride, padding=padding)
-    g = gen.standard_normal(out.shape)
-    sum_over_axes(mul(out, Tensor(g)), (0, 1, 2)).backward()
-    ref = _conv2d_pad_reference(x.data, w.data, b.data, g, stride, padding)
-    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    """conv2d_relu against tests/layer_oracles' conv2d, which gathers patch
+    rows from np.pad and scatters their gradient tap by tap."""
+    for encoders in (1, 3):
+        for kind in ("shared", "stacked", "raw"):
+            _check_against_per_encoder_convs(gen, shape, (3, 3), stride, padding, encoders, kind)
 
 
 @pytest.mark.parametrize("kernel", [(1, 1), (2, 4), (4, 4), (5, 5)])
@@ -737,16 +753,8 @@ def test_conv2d_bit_identical_to_pad_reference(gen, shape, stride, padding):
 def test_conv2d_bit_identical_to_pad_reference_for_other_kernels(gen, kernel, stride, padding):
     """The col2im that adds taps sharing a block offset at once, for kernels
     narrower and wider than the stride."""
-    x = Tensor(gen.standard_normal((9, 11, 2)), requires_grad=True)
-    w = Tensor(gen.standard_normal(kernel + (2, 3)), requires_grad=True)
-    b = Tensor(gen.standard_normal(3), requires_grad=True)
-    out = conv2d(x, w, b, stride=stride, padding=padding)
-    g = gen.standard_normal(out.shape)
-    sum_over_axes(mul(out, Tensor(g)), (0, 1, 2)).backward()
-    ref = _conv2d_pad_reference(x.data, w.data, b.data, g, stride, padding)
-    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    for kind in ("shared", "stacked"):
+        _check_against_per_encoder_convs(gen, (9, 11, 2), kernel, stride, padding, 2, kind)
 
 
 def test_conv2d_skips_input_gradient_of_constant_input():
@@ -756,30 +764,30 @@ def test_conv2d_skips_input_gradient_of_constant_input():
     for tracked in (True, False):
         gen = np.random.default_rng(5)
         x = Tensor(gen.standard_normal((8, 8, 1)), requires_grad=tracked)
-        w = Tensor(gen.standard_normal((3, 3, 1, 4)), requires_grad=True)
-        b = Tensor(gen.standard_normal(4), requires_grad=True)
-        out = conv2d(x, w, b)
-        gx, gw, gb = out._backward(np.ones(out.shape))
+        w = [Tensor(gen.standard_normal((3, 3, 1, 4)), requires_grad=True) for _ in range(2)]
+        b = [Tensor(gen.standard_normal(4), requires_grad=True) for _ in range(2)]
+        out = conv2d_relu(x, w, b)
+        gx, *rest = out._backward(np.ones(out.shape))
         assert (gx is None) == (not tracked)
-        grads.append((gw.tobytes(), gb.tobytes()))
+        grads.append([g.tobytes() for g in rest])
     assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("stride,padding", [(2, 1), (1, 0), (1, 1), (3, 1)])
 @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "raw"])
 def test_conv2d_relu_bit_identical_to_conv2d_then_relu(gen, stride, padding, tracked):
-    """Three inputs sharing the kernel: value and every gradient, with the
-    input's gradient skipped for an input that needs none."""
+    """Three one-encoder nodes sharing the kernel: value and every gradient,
+    with the input's gradient skipped for an input that needs none."""
     xs = [Tensor(gen.standard_normal((8, 7, 3)), requires_grad=tracked) for _ in range(3)]
     w = Tensor(gen.standard_normal((3, 3, 3, 5)), requires_grad=True)
     b = Tensor(gen.standard_normal(5), requires_grad=True)
 
     def bits(layer):
-        outs = [layer(x, w, b, stride=stride, padding=padding) for x in xs]
+        outs = [layer(x) for x in xs]
         total = None
         for out in outs:
             term = sum_over_axes(mul(out, Tensor(np.cos(np.arange(out.size)).reshape(out.shape))),
-                                 (0, 1, 2))
+                                 tuple(range(out.data.ndim)))
             total = term if total is None else add(total, term)
         for t in [w, b] + xs:
             t.zero_grad()
@@ -787,9 +795,29 @@ def test_conv2d_relu_bit_identical_to_conv2d_then_relu(gen, stride, padding, tra
         return [o.data.tobytes() for o in outs] + [
             None if t.grad is None else t.grad.tobytes() for t in [w, b] + xs]
 
-    fused = bits(conv2d_relu)
-    assert fused == bits(lambda *args, **kw: relu(conv2d(*args, **kw)))
+    fused = bits(lambda x: conv2d_relu(x, [w], [b], stride=stride, padding=padding))
+    assert fused == bits(lambda x: relu(conv2d(x, w, b, stride=stride, padding=padding)))
     assert (fused[-1] is None) == (not tracked)
+
+
+@pytest.mark.parametrize("x_shape, kernels, biases", [
+    ((8, 8, 1), [(3, 3, 1, 4), (3, 3, 1, 5)], [(4,), (5,)]),
+    ((8, 8, 1), [(3, 3, 1, 4), (1, 1, 1, 4)], [(4,), (4,)]),
+    ((3, 8, 8, 1), [(3, 3, 1, 4)] * 2, [(4,)] * 2),
+    ((8, 8, 2), [(3, 3, 1, 4)] * 2, [(4,)] * 2),
+    ((2, 8, 8, 2), [(3, 3, 1, 4)] * 2, [(4,)] * 2),
+    ((8, 8, 1), [(3, 3, 1, 4)] * 2, [(4,)]),
+    ((8, 8, 1), [(3, 3, 1, 4)] * 2, [(4,), (3,)]),
+    ((8, 8, 1), [], []),
+    ((8, 8), [(3, 3, 1, 4)], [(4,)]),
+], ids=["kernel-out", "kernel-size", "e-3-of-2", "channels", "stacked-channels", "one-bias",
+        "bias-shape", "no-encoder", "rank-2-input"])
+def test_conv2d_relu_rejects_mismatched_shapes(x_shape, kernels, biases):
+    names = f"conv2d_relu of input {x_shape} by kernels {kernels} and biases {biases}"
+    with pytest.raises(ShapeError) as err:
+        conv2d_relu(Tensor(np.zeros(x_shape)), [Tensor(np.zeros(k)) for k in kernels],
+                    [Tensor(np.zeros(b)) for b in biases])
+    assert str(err.value) == names
 
 
 @pytest.mark.parametrize("blocks", [(0, 2), (4, 2), (2, 0), (2, 4)])
@@ -823,9 +851,9 @@ def test_attention_glimpse_rejects_mismatched_weights():
                                 Tensor(np.zeros(1)), stride=1, padding=0)),
     # checked before the ReLU, which maps NaN and -inf to 0
     ("conv2d_relu", lambda t: conv2d_relu(Tensor(t.data.reshape(2, 3, 1)),
-                                          Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)),
+                                          [Tensor(np.ones((1, 1, 1, 1)))], [Tensor(np.zeros(1))],
                                           stride=1, padding=0)),
-    ("weighted_sum", lambda t: weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones(t.shape)), t])),
+    ("weighted_sum", lambda t: weighted_sum(Tensor(np.ones(2)), t)),
     ("attention_glimpse", lambda t: attention_glimpse(
         Tensor(np.eye(1)), t, [Tensor(np.ones(shape)) for shape in ((3, 1), (1,), (3, 1), (1,))])[0]),
     # the bad value in the word row's block, which glimpse 0 reads

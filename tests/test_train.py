@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import layer_oracles
 from cmvqa import model as model_module, train as train_module
 from cmvqa.bundle import write_bundle
 from cmvqa.config import RunConfig, load_config
@@ -179,6 +180,22 @@ class TestVqaTraining:
         with open(tmp_path / "b" / "metrics.csv", "rb") as fh:
             second = fh.read()
         assert first == second
+
+    def test_layer_nodes_write_the_bytes_of_per_encoder_compositions(self, tmp_path,
+                                                                      monkeypatch):
+        """Training with the encoder-axis conv nodes, the stem node and the
+        blend node, and again with the per-encoder conv2d and relu nodes,
+        stack and sum of tests/layer_oracles in their place, writes the same
+        checkpoint and metrics bytes."""
+        config = make_run(tmp_path)
+        run_vqa_train(config, tmp_path / "nodes")
+        monkeypatch.setattr(model_module, "classify_type", layer_oracles.classify_type_composition)
+        monkeypatch.setattr(model_module, "backbone_forward", layer_oracles.backbone_composition)
+        monkeypatch.setattr(model_module, "blend", layer_oracles.blend_composition)
+        run_vqa_train(config, tmp_path / "composed")
+        for name in ("checkpoint.cmtb", "metrics.csv"):
+            assert (tmp_path / "nodes" / name).read_bytes() == \
+                (tmp_path / "composed" / name).read_bytes(), name
 
     def test_invariant_monitor_sees_every_forward(self, tmp_path):
         config = make_run(tmp_path)

@@ -9,7 +9,6 @@ from cmvqa.vision import (
     backbone_forward,
     blend,
     classify_type,
-    image_patches,
     init_backbone,
     init_type_classifier,
     spatial_map,
@@ -26,18 +25,18 @@ class TestBackbone:
     def test_desk_shape_32_to_4(self, gen):
         params = init_backbone(gen, 32, 1, 4, 32)
         assert len(params.layers) == 3
-        out = backbone_forward(Tensor(gen.standard_normal((32, 32, 1))), params)
-        assert out.shape == (4, 4, 32)
+        out = backbone_forward(Tensor(gen.standard_normal((32, 32, 1))), [params] * 3)
+        assert out.shape == (3, 4, 4, 32)
 
     def test_grid_7_from_56(self, gen):
         params = init_backbone(gen, 56, 1, 7, 16)
-        out = backbone_forward(Tensor(gen.standard_normal((56, 56, 1))), params)
-        assert out.shape == (7, 7, 16)
+        out = backbone_forward(Tensor(gen.standard_normal((56, 56, 1))), [params])
+        assert out.shape == (1, 7, 7, 16)
 
     def test_zero_image_zero_bias_gives_zero(self, gen):
         params = init_backbone(gen, 16, 2, 4, 8)
-        out = backbone_forward(Tensor(np.zeros((16, 16, 2))), params)
-        assert np.array_equal(out.data, np.zeros((4, 4, 8)))
+        out = backbone_forward(Tensor(np.zeros((16, 16, 2))), [params])
+        assert np.array_equal(out.data, np.zeros((1, 4, 4, 8)))
 
     def test_indivisible_size_rejected(self, gen):
         with pytest.raises(ShapeError):
@@ -47,8 +46,14 @@ class TestBackbone:
 
     def test_nonnegative_output(self, gen):
         params = init_backbone(gen, 16, 1, 4, 8)
-        out = backbone_forward(Tensor(gen.standard_normal((16, 16, 1))), params)
+        out = backbone_forward(Tensor(gen.standard_normal((16, 16, 1))), [params])
         assert (out.data >= 0).all()
+
+    def test_encoders_of_other_depths_rejected(self, gen):
+        # layer 0 of both maps 1 channel to 4, so only the depths differ
+        deep, shallow = init_backbone(gen, 16, 1, 4, 8), init_backbone(gen, 16, 1, 8, 4)
+        with pytest.raises(ValueError, match="zip"):
+            backbone_forward(Tensor(np.zeros((16, 16, 1))), [deep, shallow])
 
 
 class TestTypeGate:
@@ -81,33 +86,28 @@ class TestTypeGate:
 
 class TestBlend:
     def _features(self, gen, shape=(2, 2, 3)):
-        return (
-            Tensor(gen.standard_normal(shape)),
-            Tensor(gen.standard_normal(shape)),
-            Tensor(gen.standard_normal(shape)),
-        )
+        return Tensor(gen.standard_normal((3,) + shape))
 
     def _gate(self, w):
         wt = Tensor(np.asarray(w, dtype=float))
         return TypeGate(logits=wt, w=wt)
 
     def test_one_hot_selects_exactly(self, gen):
-        v_a, v_h, v_c = self._features(gen)
-        out = blend(v_a, v_h, v_c, self._gate([1.0, 0.0, 0.0]))
-        assert np.array_equal(out.data, v_a.data)
+        v = self._features(gen)
+        out = blend(v, self._gate([1.0, 0.0, 0.0]))
+        assert np.array_equal(out.data, v.data[0])
 
     def test_uniform_on_identical_inputs_is_identity(self, gen):
         x = gen.standard_normal((2, 2, 3))
-        out = blend(Tensor(x.copy()), Tensor(x.copy()), Tensor(x.copy()),
-                    self._gate([1 / 3, 1 / 3, 1 / 3]))
+        out = blend(Tensor(np.stack([x] * 3)), self._gate([1 / 3, 1 / 3, 1 / 3]))
         assert np.abs(out.data - x).max() < 1e-12
 
     def test_against_scalar_loop_oracle(self, gen):
-        v_a, v_h, v_c = self._features(gen)
+        v = self._features(gen)
         w = np.array([0.2, 0.5, 0.3])
-        out = blend(v_a, v_h, v_c, self._gate(w)).data
+        out = blend(v, self._gate(w)).data
         for idx in np.ndindex(2, 2, 3):
-            direct = w[0] * v_a.data[idx] + w[1] * v_h.data[idx] + w[2] * v_c.data[idx]
+            direct = w[0] * v.data[0][idx] + w[1] * v.data[1][idx] + w[2] * v.data[2][idx]
             assert abs(out[idx] - direct) < 1e-12
 
     def test_bit_identical_to_composition_with_a_dead_encoder(self, gen):
@@ -117,18 +117,17 @@ class TestBlend:
         gate = TypeGate(logits=w, w=w)
         batch = []
         for _ in range(3):
-            v_a, _, v_c = self._features(gen)
-            parts = (v_a, Tensor(np.zeros((2, 2, 3))), v_c)
-            for t in parts:
-                t.requires_grad = True
-            batch.append((parts, Tensor(-np.abs(gen.standard_normal((2, 2, 3))))))
+            v = self._features(gen)
+            v.data[1] = 0.0
+            v.requires_grad = True
+            batch.append((v, Tensor(-np.abs(gen.standard_normal((2, 2, 3))))))
 
         def bits(combine):
             total = None
-            for parts, coeffs in batch:
-                term = sum_over_axes(mul(combine(*parts, gate), coeffs), (0, 1, 2))
+            for v, coeffs in batch:
+                term = sum_over_axes(mul(combine(v, gate), coeffs), (0, 1, 2))
                 total = term if total is None else add(total, term)
-            leaves = [w] + [t for parts, _ in batch for t in parts]
+            leaves = [w] + [v for v, _ in batch]
             for leaf in leaves:
                 leaf.zero_grad()
             total.backward()
@@ -138,10 +137,10 @@ class TestBlend:
         assert fused == bits(blend_composition)
         assert np.signbit(w.grad[1]) == 0.0 and w.grad[1] == 0.0
 
-    def test_shape_mismatch(self, gen):
-        v_a, v_h, _ = self._features(gen)
-        with pytest.raises(ShapeError):
-            blend(v_a, v_h, Tensor(np.zeros((3, 3, 3))), self._gate([1, 0, 0]))
+    def test_shape_mismatch(self):
+        for shape in ((2, 2, 2, 3), (4, 2, 2, 3), (3,)):
+            with pytest.raises(ShapeError, match=rf"weighted_sum of \({shape[0]},"):
+                blend(Tensor(np.zeros(shape)), self._gate([1, 0, 0]))
 
 
 class TestSpatialMap:
@@ -198,8 +197,7 @@ class TestEncodeImage:
 
         def objective():
             gate = classify_type(image, gate_params)
-            v = blend(*(backbone_forward(image, backbones[name])
-                        for name in ("abdomen", "head", "chest")), gate)
+            v = blend(backbone_forward(image, list(backbones.values())), gate)
             return sum_over_axes(mul(v, coeffs), (0, 1, 2))
 
         report = grad_check(
@@ -224,20 +222,20 @@ class TestEncodeImage:
         gate_params = init_type_classifier(rng.child("gate").gen, 1)
         image = Tensor(gen.standard_normal((16, 16, 1)))
         gate = classify_type(image, gate_params)
-        v_a, v_h, v_c = (backbone_forward(image, backbones[name])
-                         for name in ("abdomen", "head", "chest"))
-        v = blend(v_a, v_h, v_c, gate)
-        assert v_a.shape == v_h.shape == v_c.shape == v.shape
+        stack = backbone_forward(image, list(backbones.values()))
+        v = blend(stack, gate)
+        assert stack.shape == (3,) + v.shape == (3, 4, 4, 8)
         assert gate.w.shape == (3,)
 
     def test_batch_of_three_bit_identical_to_compositions(self, gen):
         """Gate, backbones and blend on three images sharing the parameters:
-        one conv2d_relu node per layer and one weighted_sum node give the
-        value and every parameter gradient of the conv2d, relu, slice,
-        broadcast, mul and add nodes they replace.  The last image is tracked
-        to a gradient, which feeds the gate and the backbones; the blend's
-        node meets those branches in another order than the primitive graph,
-        so the image's gradient agrees within a relative 1e-12."""
+        one conv2d_relu node per layer over the encoder axis and one
+        weighted_sum node give the value and every parameter gradient of the
+        per-encoder conv2d and relu nodes, the stack, and the broadcast, mul
+        and sum nodes they replace.  The last image is tracked to a gradient,
+        which feeds the gate and the backbones; the first layer's node sums
+        the encoders' gradients before its col2im, so the image's gradient
+        agrees within a relative 1e-12."""
         rng = Rng(5)
         backbones = [init_backbone(rng.child(name).gen, 16, 1, 2, 6)
                      for name in ("abdomen", "head", "chest")]
@@ -252,7 +250,7 @@ class TestEncodeImage:
         def run(classify, encode, combine):
             total = None
             for image, c in zip(images, coeffs):
-                v = combine(*(encode(image, bb) for bb in backbones), classify(image, gate_params))
+                v = combine(encode(image, backbones), classify(image, gate_params))
                 term = sum_over_axes(mul(v, c), (0, 1, 2))
                 total = term if total is None else add(total, term)
             for leaf in params + images[2:]:
@@ -264,34 +262,3 @@ class TestEncodeImage:
         want, want_image = run(classify_type_composition, backbone_composition, blend_composition)
         assert got == want
         assert np.abs(got_image - want_image).max() <= 1e-12 * np.abs(want_image).max()
-
-    def test_shared_patches_bit_identical_to_unshared(self, gen):
-        """One image_patches for the gate stem and the three backbones' first
-        layers: every output and every gradient has the bits of convolutions
-        that each build their own patch rows, a tracked image included."""
-        rng = Rng(6)
-        backbones = [init_backbone(rng.child(name).gen, 16, 1, 2, 6)
-                     for name in ("abdomen", "head", "chest")]
-        gate_params = init_type_classifier(rng.child("gate").gen, 1)
-        images = [Tensor(gen.standard_normal((16, 16, 1)), requires_grad=i == 1)
-                  for i in range(2)]
-        coeffs = [Tensor(gen.standard_normal((2, 2, 6))) for _ in images]
-        leaves = [gate_params.stem.weight, gate_params.stem.bias, gate_params.proj_w,
-                  gate_params.proj_b, images[1]]
-        leaves += [t for bb in backbones for layer in bb.layers for t in (layer.weight, layer.bias)]
-
-        def bits(shared):
-            total, outs = None, []
-            for image, c in zip(images, coeffs):
-                patches = image_patches(image) if shared else None
-                gate = classify_type(image, gate_params, patches)
-                feats = [backbone_forward(image, bb, patches) for bb in backbones]
-                outs += [gate.logits, gate.w] + feats
-                term = sum_over_axes(mul(blend(*feats, gate), c), (0, 1, 2))
-                total = term if total is None else add(total, term)
-            for leaf in leaves:
-                leaf.zero_grad()
-            total.backward()
-            return [t.data.tobytes() for t in outs] + [leaf.grad.tobytes() for leaf in leaves]
-
-        assert bits(shared=True) == bits(shared=False)
